@@ -1,11 +1,12 @@
 # Developer entry points. `make check` is the tier-1 verification going
-# forward: vet, build, and the full test suite under the race detector.
+# forward: vet, build, and the full test suite under the race detector,
+# for this module and for the benchmark module under perfbench/.
 
 GO ?= go
 
-.PHONY: check vet build test test-race bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
+.PHONY: check vet build test test-race perfbench-check bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
 
-check: vet build test-race
+check: vet build test-race perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -18,6 +19,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The benchmark module (perfbench/, a module of its own importing this
+# one) vetted, built and race-tested, so an API change that breaks the
+# benchmark fails tier-1 instead of the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./... && $(GO) test -race ./...
 
 # Every Benchmark* in the module, with allocation stats. The root
 # artifact benchmarks persist their numbers to results/BENCH_*.json

@@ -1,6 +1,6 @@
 // Command dpsbench is the detection scaling observatory's harness: it
 // sweeps GOMAXPROCS × detection workers over a measured dataset, runs
-// core.DetectRange to steady state in every cell, and records
+// core.DetectRangeStats to steady state in every cell, and records
 // throughput, per-core efficiency, stage timing, allocations, and the
 // GC's CPU share per cell to results/BENCH_detect.json (schema
 // benchfmt.DetectSchema, one row per cell).
@@ -63,7 +63,7 @@ func main() {
 		days       = flag.Int("days", 4, "days to measure into the generated dataset")
 		data       = flag.String("data", "", "load this .dpsa dataset instead of generating one")
 		gomaxprocs = flag.String("gomaxprocs", "1,2,4", "comma-separated GOMAXPROCS values to sweep")
-		workers    = flag.String("workers", "1,2,4", "comma-separated DetectRange worker counts to sweep")
+		workers    = flag.String("workers", "1,2,4", "comma-separated DetectRangeStats worker counts to sweep")
 		minTime    = flag.Duration("mintime", 2*time.Second, "minimum wall time per sweep cell")
 		out        = flag.String("out", "results/BENCH_detect.json", "result JSON path")
 		profiles   = flag.String("profiles", "", "write pprof profiles into this directory (empty = off)")
@@ -244,7 +244,7 @@ func cpuClasses() (gc, total float64) {
 	return samples[0].Value.Float64(), samples[1].Value.Float64()
 }
 
-// runCell runs DetectRange repeatedly at one (gomaxprocs, workers)
+// runCell runs DetectRangeStats repeatedly at one (gomaxprocs, workers)
 // setting until minTime elapses, bracketed by GC/alloc accounting.
 func runCell(s *store.Store, parts []core.Partition, refs *core.References, g, w int, minTime time.Duration, profDir string) benchfmt.DetectCell {
 	var stopCPU func()

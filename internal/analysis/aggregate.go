@@ -89,8 +89,8 @@ func (a *Aggregator) AddDay(source string, day simtime.Day) error {
 }
 
 // AddDetections folds one partition's precomputed detections — the hook
-// DetectRange callers use to fan detection out across partitions and
-// fold the results back in day order. Folding itself is not safe for
+// DetectRangeStats callers use to fan detection out across partitions
+// and fold the results back in day order. Folding itself is not safe for
 // concurrent use; call it from one goroutine.
 func (a *Aggregator) AddDetections(det *core.DayDetections) error {
 	source, day := det.Source, det.Day

@@ -55,8 +55,8 @@ type Index struct {
 // NewIndex builds the index from a store by running detection over every
 // (source, day) partition and merging sources per day (a domain counted
 // once per day regardless of how many lists contain it, as §4.1 counts).
-// Detection fans out across partitions via core.DetectRange — the build
-// folds one shared parallel pass instead of walking partitions
+// Detection fans out across partitions via core.DetectRangeStats — the
+// build folds one shared parallel pass instead of walking partitions
 // sequentially.
 func NewIndex(s *store.Store, refs *core.References) *Index {
 	x, _ := buildIndex(s, core.Partitions(s), refs)
@@ -92,7 +92,7 @@ func NewIndexReader(r *store.Reader, refs *core.References) (*Index, error) {
 // buildIndex is the shared build: the partition list (sorted
 // (source, day), from Partitions or the Reader's directory) defines the
 // universe; sources and the day axis derive from it, detection runs via
-// core.DetectRangeSource, and the fold consumes results day-major.
+// core.DetectRangeStats, and the fold consumes results day-major.
 func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.References) (*Index, []core.PartitionFailure) {
 	start := time.Now()
 	np := refs.NumProviders()
@@ -154,7 +154,6 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 		}
 	}
 	merged := make([]map[string]core.Method, np)
-	var failed []core.PartitionFailure
 	pi := 0
 	for ci := 0; ci < len(x.days); ci += chunkDays {
 		cend := ci + chunkDays
@@ -166,9 +165,8 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 			pi++
 		}
 		chunk := parts[pstart:pi]
-		dets, rst, cfailed := core.DetectRangeSource(context.Background(), src, chunk, refs, 0)
+		dets, rst := core.DetectRangeStats(context.Background(), src, chunk, refs, 0)
 		x.detectStats.Add(rst)
-		failed = append(failed, cfailed...)
 		ck := 0 // cursor into chunk/dets
 		for di := ci; di < cend; di++ {
 			day := x.days[di]
@@ -201,7 +199,7 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 			x.anyUse[di] = int64(len(anySet))
 		}
 	}
-	x.partitions = len(parts) - len(failed)
+	x.partitions = len(parts) - len(x.detectStats.Failed)
 
 	x.smoothed = make([][]float64, np)
 	for p := 0; p < np; p++ {
@@ -216,7 +214,7 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 	mIndexDomains.Set(float64(len(x.domains)))
 	mIndexDays.Set(float64(len(x.days)))
 	mIndexBuildSeconds.Set(x.buildTime.Seconds())
-	return x, failed
+	return x, x.detectStats.Failed
 }
 
 // addDay folds one (domain, provider, methods) detection on day into the
@@ -467,5 +465,5 @@ func (x *Index) BuildStats() (partitions int, elapsed time.Duration) {
 }
 
 // DetectStats returns the stage-timing summary of the build's
-// DetectRange pass, for logging per-core efficiency at startup.
+// DetectRangeStats pass, for logging per-core efficiency at startup.
 func (x *Index) DetectStats() core.RangeStats { return x.detectStats }

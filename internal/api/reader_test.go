@@ -42,10 +42,12 @@ func TestNewIndexReaderDegraded(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	dir, err := store.Directory(path)
+	clean, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := clean.Partitions()
+	clean.Close()
 	victim := dir[1]
 	off, length := victim.Extent()
 	data, err := os.ReadFile(path)

@@ -16,12 +16,12 @@ import (
 // (gomaxprocs, workers) sweep cell instead of the flat v1 map.
 const DetectSchema = "sweep/v2"
 
-// DetectCell is one sweep cell: DetectRange run to steady state at a
+// DetectCell is one sweep cell: DetectRangeStats run to steady state at a
 // fixed GOMAXPROCS and worker count.
 type DetectCell struct {
 	Gomaxprocs int `json:"gomaxprocs"`
 	Workers    int `json:"workers"`
-	// Iters is how many full DetectRange passes the cell aggregated.
+	// Iters is how many full DetectRangeStats passes the cell aggregated.
 	Iters      int   `json:"iters"`
 	Partitions int   `json:"partitions"`
 	Rows       int64 `json:"rows"`
@@ -298,9 +298,9 @@ type ScaleDoc struct {
 	// Source names the producer ("dpsbench" or "go test -bench").
 	Source string      `json:"source"`
 	Cells  []ScaleCell `json:"cells"`
-	// Detect holds the raw-detection sweep (DetectRange over a resident
-	// store vs DetectRangeSource over a streaming Reader, no index
-	// fold), written by BenchmarkScaleDetect; empty in dpsbench output.
+	// Detect holds the raw-detection sweep (DetectRangeStats over a
+	// resident store vs over a streaming Reader, no index fold), written
+	// by BenchmarkScaleDetect; empty in dpsbench output.
 	Detect []ScaleCell `json:"detect,omitempty"`
 }
 

@@ -595,10 +595,12 @@ func (c *Coordinator) SpoolPath(p Partition) string {
 	return filepath.Join(c.cfg.Dir, "spool", fmt.Sprintf("%s.%s.dpsa", p.Source, p.Day))
 }
 
-// Assemble folds every committed spool into one store. Spools that fail
-// CRC verification (torn at rest) are moved into quarantine/ and
-// reported as damaged — their days must be marked degraded — rather
-// than aborting the assembly.
+// Assemble folds every committed spool into one store, reading each
+// spool once through a read-only store.Reader. Spools that fail to read
+// — a checksum mismatch (torn at rest) or a partition that fails
+// structural validation — are moved into quarantine/ whole and reported
+// as damaged (their days must be marked degraded) rather than aborting
+// the assembly.
 func (c *Coordinator) Assemble() (*store.Store, []DamagedPartition, error) {
 	c.mu.Lock()
 	type item struct {
@@ -616,7 +618,8 @@ func (c *Coordinator) Assemble() (*store.Store, []DamagedPartition, error) {
 	out := store.New()
 	var damaged []DamagedPartition
 	for _, it := range items {
-		if err := store.Verify(it.spool); err != nil {
+		part, err := readSpool(it.spool)
+		if err != nil {
 			qpath, qerr := store.QuarantineFile(it.spool, err)
 			if qerr != nil {
 				return nil, nil, fmt.Errorf("coord: quarantine %s: %w", it.p, qerr)
@@ -624,11 +627,18 @@ func (c *Coordinator) Assemble() (*store.Store, []DamagedPartition, error) {
 			damaged = append(damaged, DamagedPartition{Partition: it.p, QuarantinePath: qpath, Err: err.Error()})
 			continue
 		}
-		part, err := store.Load(it.spool)
-		if err != nil {
-			return nil, nil, fmt.Errorf("coord: load verified spool %s: %w", it.p, err)
-		}
 		out.Absorb(part)
 	}
 	return out, damaged, nil
+}
+
+// readSpool materializes one spool. Any damaged partition fails the
+// whole spool, which Assemble then quarantines as a unit.
+func readSpool(path string) (*store.Store, error) {
+	r, err := store.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.ReadAll()
 }

@@ -2,8 +2,10 @@ package coord
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -465,5 +467,77 @@ func TestTornWriteScenarioQuarantinesDamage(t *testing.T) {
 		if !hurt[p] && n != 3 {
 			t.Fatalf("%s: surviving partition has %d rows, want 3", p, n)
 		}
+	}
+}
+
+// TestAssembleQuarantinesInvalidSpool: a spool whose checksums are all
+// valid but whose partition holds a domain ID past the end of its
+// dictionary fails Verify, and Assemble quarantines it like a torn spool
+// — one damaged partition, not a failed assembly.
+func TestAssembleQuarantinesInvalidSpool(t *testing.T) {
+	parts := testParts([]string{"com"}, 3)
+	c := runToCompletion(t, fastCfg(t.TempDir()), parts)
+	victim := parts[1]
+	spool := c.SpoolPath(victim)
+	writeBadDomainID(t, spool)
+	if err := store.Verify(spool); err == nil {
+		t.Error("Verify passed a spool with an out-of-range domain ID")
+	}
+	assembled, damaged, err := c.Assemble()
+	if err != nil {
+		t.Fatalf("Assemble: %v", err)
+	}
+	if len(damaged) != 1 || damaged[0].Partition != victim {
+		t.Fatalf("damaged = %+v, want only %s", damaged, victim)
+	}
+	if !strings.Contains(damaged[0].Err, "domain id out of range") {
+		t.Fatalf("damage reason %q not descriptive", damaged[0].Err)
+	}
+	if _, err := os.Stat(damaged[0].QuarantinePath); err != nil {
+		t.Fatalf("quarantined spool missing: %v", err)
+	}
+	for _, p := range parts {
+		n := 0
+		assembled.ForEachRow(p.Source, p.Day, func(store.Row) { n++ })
+		want := 3
+		if p == victim {
+			want = 0
+		}
+		if n != want {
+			t.Fatalf("%s: assembled %d rows, want %d", p, n, want)
+		}
+	}
+}
+
+// writeBadDomainID rewrites a single-partition v4 spool so its first
+// domain ID points past the end of the dictionary, then recomputes the
+// partition and directory checksums over the bad bytes: every CRC in the
+// file stays valid and only structural validation can reject it. In the
+// v4 layout the last directory entry ends with its partition CRC, right
+// before the 20-byte footer (directory offset u64, dictionary CRC u32,
+// directory CRC u32, magic).
+func writeBadDomainID(t *testing.T, path string) {
+	t.Helper()
+	r, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent := r.Partitions()[0]
+	r.Close()
+	off, length := ent.Extent()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Partition header: source (u16 length + bytes), day (i64), then the
+	// row, v6 and ASN counts (u32 each); the domain ID column follows.
+	col := off + 2 + uint64(len(ent.Source)) + 8 + 3*4
+	binary.LittleEndian.PutUint32(data[col:], 1<<30)
+	foot := uint64(len(data)) - 20
+	binary.LittleEndian.PutUint32(data[foot-4:], crc32.ChecksumIEEE(data[off:off+length]))
+	dirOff := binary.LittleEndian.Uint64(data[foot:])
+	binary.LittleEndian.PutUint32(data[foot+12:], crc32.ChecksumIEEE(data[dirOff:foot]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

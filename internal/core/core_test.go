@@ -400,6 +400,51 @@ func TestDetectDayMergesInterleavedMethods(t *testing.T) {
 	}
 }
 
+// TestForDictCacheBounded: detecting over a stream of fresh
+// dictionaries — what a follower opening one Reader per spool produces —
+// keeps the matcher cache at its bound, and every detection is the same
+// as over the first dictionary.
+func TestForDictCacheBounded(t *testing.T) {
+	_, s := measuredWorld(t)
+	refs := MustGroundTruth()
+	// A slice of a measured partition keeps 100 copies cheap.
+	one := store.New()
+	w := one.NewWriter("com", quietDay)
+	s.ForEachRow("com", quietDay, func(r store.Row) {
+		switch {
+		case w.Rows() >= 2000:
+		case r.Kind == store.KindWWWCNAME || r.Kind == store.KindNS:
+			w.AddStr(r.Domain, r.Kind, r.Str)
+		default:
+			w.AddAddr(r.Domain, r.Kind, r.Addr, r.ASNs)
+		}
+	})
+	w.Commit()
+	want := DetectDay(one, "com", quietDay, refs)
+	if want.CountAny() == 0 {
+		t.Fatal("fixture partition detects nothing")
+	}
+	for i := 0; i < 100; i++ {
+		fresh := store.New()
+		fresh.Absorb(one)
+		got := DetectDay(fresh, "com", quietDay, refs)
+		for p := range refs.Providers {
+			if !reflect.DeepEqual(got.Uses(p), want.Uses(p)) {
+				t.Fatalf("dictionary %d, provider %d: detections differ", i, p)
+			}
+		}
+	}
+	if n := len(refs.matchers); n != matcherCacheSize {
+		t.Fatalf("matcher cache holds %d entries, want %d", n, matcherCacheSize)
+	}
+	// The first dictionary's matcher was evicted long ago; a fresh one
+	// takes the front of the cache and agrees.
+	again := DetectDay(one, "com", quietDay, refs)
+	if refs.matchers[0].dict != one.Dict() || again.CountAny() != want.CountAny() {
+		t.Fatal("re-detecting over the evicted dictionary diverged")
+	}
+}
+
 // TestDetectRangeMatchesSequential runs the bounded worker pool over
 // every partition of the measured world and demands result parity (and
 // input-order results) with sequential DetectDay.
@@ -411,7 +456,7 @@ func TestDetectRangeMatchesSequential(t *testing.T) {
 		t.Fatalf("measured world has %d partitions; want several", len(parts))
 	}
 	for _, workers := range []int{1, 3, 16} {
-		dets := DetectRange(context.Background(), s, parts, refs, workers)
+		dets, _ := DetectRangeStats(context.Background(), s, parts, refs, workers)
 		if len(dets) != len(parts) {
 			t.Fatalf("workers=%d: %d results for %d partitions", workers, len(dets), len(parts))
 		}
@@ -445,10 +490,10 @@ func TestDetectRangeCancelled(t *testing.T) {
 	refs := MustGroundTruth()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dets := DetectRange(ctx, s, Partitions(s), refs, 2)
+	dets, _ := DetectRangeStats(ctx, s, Partitions(s), refs, 2)
 	for _, det := range dets {
 		if det != nil {
-			t.Fatal("cancelled DetectRange still produced detections")
+			t.Fatal("cancelled DetectRangeStats still produced detections")
 		}
 	}
 }

@@ -78,7 +78,7 @@ func DetectPartition(src BatchSource, source string, day simtime.Day, refs *Refe
 
 // detectSourceStaged is DetectPartition with per-stage wall timing: scan
 // is the row classification loop (batch-scan), merge is finalize's sort
-// / dedup / distinct-count pass (hit-merge). DetectRange feeds these
+// / dedup / distinct-count pass (hit-merge). DetectRangeStats feeds these
 // into the detect_stage_seconds histograms; the two time.Now pairs are
 // noise next to a partition's work. The batch is released only after
 // finalize — finalize reads the batch's domain column.

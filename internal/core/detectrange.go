@@ -19,7 +19,7 @@ type Partition struct {
 }
 
 // Partitions enumerates every stored (source, day) partition in
-// (source, day) order — the natural input to DetectRange.
+// (source, day) order — the natural input to DetectRangeStats.
 func Partitions(s *store.Store) []Partition {
 	var out []Partition
 	for _, src := range s.Sources() {
@@ -42,7 +42,7 @@ func ReaderPartitions(r *store.Reader) []Partition {
 	return out
 }
 
-// PartitionFailure records one partition DetectRangeSource could not
+// PartitionFailure records one partition DetectRangeStats could not
 // classify — unreadable or corrupt under a streaming Reader. The
 // partition's result slot stays nil; the caller decides whether that is
 // degraded service or a fatal dataset problem.
@@ -52,11 +52,12 @@ type PartitionFailure struct {
 	Err    error
 }
 
-// RangeStats describes where one DetectRange call spent its time, per
-// stage, summed across workers. It is the per-call counterpart of the
-// detect_stage_seconds histograms: callers (experiment.Run,
-// analysis.Aggregator.Run, api.NewIndex, cmd/dpsbench) use it to log and
-// persist per-core efficiency instead of inferring it from wall time.
+// RangeStats describes where one DetectRangeStats call spent its time,
+// per stage, summed across workers, and which partitions failed. It is
+// the per-call counterpart of the detect_stage_seconds histograms:
+// callers (experiment.Run, analysis.Aggregator.Run, api.NewIndex,
+// cmd/dpsbench) use it to log and persist per-core efficiency instead of
+// inferring it from wall time.
 type RangeStats struct {
 	Partitions int           // partitions classified
 	Rows       int64         // rows scanned
@@ -72,6 +73,10 @@ type RangeStats struct {
 	Merge     time.Duration
 	QueueWait time.Duration
 	Barrier   time.Duration
+
+	// Failed lists the partitions that could not be read (always empty
+	// over a resident *store.Store); their result slots are nil.
+	Failed []PartitionFailure
 }
 
 // Add folds another call's stats in (callers accumulate per-day passes
@@ -87,6 +92,7 @@ func (st *RangeStats) Add(o RangeStats) {
 	st.Merge += o.Merge
 	st.QueueWait += o.QueueWait
 	st.Barrier += o.Barrier
+	st.Failed = append(st.Failed, o.Failed...)
 }
 
 // Busy is the productive time summed over workers (scan + merge).
@@ -112,21 +118,6 @@ func (st RangeStats) PartitionsPerSec() float64 {
 	return float64(st.Partitions) / st.Wall.Seconds()
 }
 
-// DetectRange classifies a set of partitions with a bounded worker pool
-// and returns the detections in input order. Workers share the store,
-// the references, and the per-dictionary ID matcher; partitions are
-// independent, so throughput scales with the worker count until the
-// memory bus saturates. workers <= 0 uses GOMAXPROCS. A cancelled
-// context stops the pool early; unprocessed slots are nil.
-//
-// Every consumer of multi-partition detection — the streaming
-// experiment runner, Aggregator.Run, the dpsapi index build — funnels
-// through here, so the fan-out and its metrics live in one place.
-func DetectRange(ctx context.Context, s *store.Store, parts []Partition, refs *References, workers int) []*DayDetections {
-	out, _ := DetectRangeStats(ctx, s, parts, refs, workers)
-	return out
-}
-
 // workerClock is one worker's private stage accounting, folded into
 // RangeStats after the pool drains (no shared state on the hot path).
 type workerClock struct {
@@ -135,25 +126,26 @@ type workerClock struct {
 	failed            []PartitionFailure
 }
 
-// DetectRangeStats is DetectRange returning the call's stage-timing
-// summary alongside the detections. Over a resident *store.Store no
-// partition can fail, so failures are discarded.
-func DetectRangeStats(ctx context.Context, s *store.Store, parts []Partition, refs *References, workers int) ([]*DayDetections, RangeStats) {
-	out, st, _ := DetectRangeSource(ctx, s, parts, refs, workers)
-	return out, st
-}
-
-// DetectRangeSource classifies a set of partitions from any BatchSource
-// with the same bounded pool as DetectRange: workers pull partitions,
-// acquire → detect → release, so over a streaming *store.Reader the
-// resident set is O(workers × largest partition) plus the Reader's small
-// LRU — never the whole dataset. Partitions that fail to read (corrupt
-// spool, torn range) come back in the failures slice with their result
-// slot nil; everything else is unaffected.
-func DetectRangeSource(ctx context.Context, src BatchSource, parts []Partition, refs *References, workers int) ([]*DayDetections, RangeStats, []PartitionFailure) {
+// DetectRangeStats classifies a set of partitions from any BatchSource
+// — a resident *store.Store or a streaming *store.Reader — with a
+// bounded worker pool and returns the detections in input order plus
+// the call's stage timing. Workers share the source, the references, and
+// the per-dictionary ID matcher, and pull partitions acquire → detect →
+// release, so over a Reader the resident set is O(workers × largest
+// partition) plus the Reader's small LRU — never the whole dataset.
+// workers <= 0 uses GOMAXPROCS. A cancelled context stops the pool
+// early; unprocessed slots are nil. Partitions that fail to read
+// (corrupt spool, torn range) come back in RangeStats.Failed with their
+// result slot nil; everything else is unaffected.
+//
+// Every consumer of multi-partition detection — the streaming
+// experiment runner, Aggregator.Run, the dpsapi index build, the
+// follower — funnels through here, so the fan-out and its metrics live
+// in one place.
+func DetectRangeStats(ctx context.Context, src BatchSource, parts []Partition, refs *References, workers int) ([]*DayDetections, RangeStats) {
 	out := make([]*DayDetections, len(parts))
 	if len(parts) == 0 {
-		return out, RangeStats{}, nil
+		return out, RangeStats{}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -231,10 +223,9 @@ func DetectRangeSource(ctx context.Context, src BatchSource, parts []Partition, 
 	end := time.Now()
 
 	st := RangeStats{Partitions: len(parts), Rows: rows.Load(), Workers: workers, Wall: end.Sub(start)}
-	var failed []PartitionFailure
 	for i := range clocks {
 		clk := &clocks[i]
-		failed = append(failed, clk.failed...)
+		st.Failed = append(st.Failed, clk.failed...)
 		st.Scan += clk.scan
 		st.Merge += clk.merge
 		st.QueueWait += clk.wait
@@ -248,6 +239,6 @@ func DetectRangeSource(ctx context.Context, src BatchSource, parts []Partition, 
 		}
 	}
 	mDetectUtilization.Set(st.Utilization())
-	st.Partitions -= len(failed)
-	return out, st, failed
+	st.Partitions -= len(st.Failed)
+	return out, st
 }

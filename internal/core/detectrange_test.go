@@ -95,7 +95,7 @@ func TestRangeStatsAdd(t *testing.T) {
 	}
 }
 
-// TestDetectStageMetrics: one DetectRange pass populates every stage
+// TestDetectStageMetrics: one DetectRangeStats pass populates every stage
 // child of detect_stage_seconds and sets the utilization gauge.
 func TestDetectStageMetrics(t *testing.T) {
 	_, s := measuredWorld(t)

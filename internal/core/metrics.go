@@ -2,7 +2,7 @@ package core
 
 import "dpsadopt/internal/obs"
 
-// Detection-engine metrics. DetectRange is the shared parallel pass
+// Detection-engine metrics. DetectRangeStats is the shared parallel pass
 // behind every figure, Table 1, and the dpsapi load-time index; these
 // make its fan-out legible from /metrics while a build or run is in
 // flight.
@@ -20,9 +20,10 @@ var (
 		[]float64{1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8})
 )
 
-// Stage-resolved timing: where a DetectRange worker's time goes. Buckets
-// reach down to 1µs because healthy queue waits are sub-microsecond and
-// a partition's scan is tens to hundreds of µs at bench scales.
+// Stage-resolved timing: where a DetectRangeStats worker's time goes.
+// Buckets reach down to 1µs because healthy queue waits are
+// sub-microsecond and a partition's scan is tens to hundreds of µs at
+// bench scales.
 var (
 	stageBuckets = []float64{
 		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4,

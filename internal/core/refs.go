@@ -90,11 +90,19 @@ type References struct {
 	byCNAME  map[string]int
 	byNS     map[string]int
 
-	// matchers caches one IDMatcher per store dictionary, so repeated
-	// DetectDay calls over the same store amortize every SLD extraction.
+	// matchers caches the IDMatchers of the matcherCacheSize most
+	// recently used store dictionaries, most recent first, so repeated
+	// DetectDay calls over the same store amortize every SLD extraction
+	// while a long-running follower, which opens a Reader (and with it a
+	// dictionary) per spool, does not keep every dictionary alive.
 	matcherMu sync.Mutex
-	matchers  map[*store.Dict]*IDMatcher
+	matchers  []*IDMatcher
 }
+
+// matcherCacheSize bounds References' matcher cache. It covers the
+// dictionaries one process detects against at once: the serving
+// store's plus one per concurrently read spool.
+const matcherCacheSize = 8
 
 // NewReferences builds the indexes for a set of provider rows. Reference
 // values must not collide across providers.
@@ -189,7 +197,7 @@ func (r *References) MatchNS(host string) (int, bool) {
 // later one is a single atomic array load (negative results are cached
 // too — almost every NS host in a measurement resolves to no provider).
 // Dictionary IDs are stable for the life of a store, so entries never
-// invalidate. Safe for concurrent use by DetectRange workers.
+// invalidate. Safe for concurrent use by DetectRangeStats workers.
 type IDMatcher struct {
 	refs *References
 	dict *store.Dict
@@ -208,8 +216,8 @@ type IDMatcher struct {
 // racing store by another worker writes the same value; the mutex only
 // serializes growing the table when an ID beyond its length appears.
 // This replaced a copy-on-write map snapshot whose miss-path lock and
-// geometric republishing dominated the mutex profile under DetectRange
-// fan-out (see DESIGN.md §10).
+// geometric republishing dominated the mutex profile under
+// DetectRangeStats fan-out (see DESIGN.md §10).
 type idCache struct {
 	table atomic.Pointer[[]atomic.Int32]
 }
@@ -258,18 +266,28 @@ func (c *idCache) set(id uint32, p int16, mu *sync.Mutex, minLen int) {
 const noProvider = int16(-1)
 
 // ForDict returns the ID matcher binding these references to a store
-// dictionary, creating and caching it on first use.
+// dictionary, creating it on first use. Only the most recently used
+// matchers stay cached; an evicted one keeps working for whoever holds
+// it, and a later call for its dictionary starts a fresh one.
 func (r *References) ForDict(dict *store.Dict) *IDMatcher {
 	r.matcherMu.Lock()
 	defer r.matcherMu.Unlock()
-	if r.matchers == nil {
-		r.matchers = make(map[*store.Dict]*IDMatcher)
+	i := 0
+	for i < len(r.matchers) && r.matchers[i].dict != dict {
+		i++
 	}
-	m := r.matchers[dict]
-	if m == nil {
+	var m *IDMatcher
+	if i < len(r.matchers) {
+		m = r.matchers[i]
+	} else {
 		m = &IDMatcher{refs: r, dict: dict}
-		r.matchers[dict] = m
+		if len(r.matchers) < matcherCacheSize {
+			r.matchers = append(r.matchers, nil)
+		}
+		i = len(r.matchers) - 1 // a free slot, or the least recently used
 	}
+	copy(r.matchers[1:i+1], r.matchers[:i])
+	r.matchers[0] = m
 	return m
 }
 

@@ -13,8 +13,9 @@ import (
 )
 
 // TestDetectRangeStreamingParity is the out-of-core acceptance gate:
-// DetectRange over a streaming store.Reader must produce byte-identical
-// detections to DetectRange over a fully loaded store, across randomized
+// DetectRangeStats over a streaming store.Reader must produce
+// byte-identical detections to DetectRangeStats over the in-memory store
+// that was saved, across randomized
 // worlds (different seeds and scales) and under -race (the streaming
 // pool shares one Reader between workers).
 func TestDetectRangeStreamingParity(t *testing.T) {
@@ -56,10 +57,10 @@ func TestDetectRangeStreamingParity(t *testing.T) {
 		if got := ReaderPartitions(r); !reflect.DeepEqual(got, parts) {
 			t.Fatalf("seed %d: ReaderPartitions = %v, want %v", tc.seed, got, parts)
 		}
-		gotDets, gotStats, failed := DetectRangeSource(context.Background(), r, parts, refs, 3)
+		gotDets, gotStats := DetectRangeStats(context.Background(), r, parts, refs, 3)
 		r.Close()
-		if len(failed) != 0 {
-			t.Fatalf("seed %d: streaming detect failed partitions: %v", tc.seed, failed)
+		if len(gotStats.Failed) != 0 {
+			t.Fatalf("seed %d: streaming detect failed partitions: %v", tc.seed, gotStats.Failed)
 		}
 		if gotStats.Partitions != wantStats.Partitions || gotStats.Rows != wantStats.Rows {
 			t.Fatalf("seed %d: stats diverge: stream %d parts/%d rows, full %d/%d",

@@ -374,8 +374,9 @@ func (r *Runner) Run(ctx context.Context) error {
 	return nil
 }
 
-// DetectStats returns the run's accumulated DetectRange stage timing —
-// the per-core efficiency ledger of the streaming detection passes.
+// DetectStats returns the run's accumulated DetectRangeStats stage
+// timing — the per-core efficiency ledger of the streaming detection
+// passes.
 func (r *Runner) DetectStats() core.RangeStats { return r.detectStats }
 
 // MaterializeDay re-measures one day into a fresh store (the world is

@@ -125,8 +125,10 @@ type Follower struct {
 	// one-time restore ran (lazily, at the first Poll, after Seed).
 	cursorPath string
 	restored   bool
-	// Dataset-mode change detection: the directory is re-read only when
-	// the file's (size, mtime) moved.
+	// Dataset mode reads through one Reader per file generation, for
+	// discovery and detection alike; a new one is opened only when the
+	// file's (size, mtime) moved.
+	dataset  *store.Reader
 	lastSize int64
 	lastMod  time.Time
 
@@ -209,6 +211,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	log.Info("follower started", "poll", f.cfg.Poll.String())
 	tick := time.NewTicker(f.cfg.Poll)
 	defer tick.Stop()
+	defer f.resetDataset()
 	for {
 		for {
 			n, err := f.Poll(ctx)
@@ -284,10 +287,7 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 	if f.mode == ModeCoord {
 		ups = f.loadCoordBatch(ctx, batch)
 	} else {
-		ups, err = f.loadDatasetBatch(ctx, batch)
-		if err != nil {
-			return 0, err
-		}
+		ups = f.loadDatasetBatch(ctx, batch)
 	}
 	for _, u := range ups {
 		k := store.PartitionKey{Source: u.Source, Day: u.Day}
@@ -353,9 +353,11 @@ func (f *Follower) spoolPath(rec coord.Record) string {
 	return rec.Spool
 }
 
-// discoverDataset diffs the dataset's partition directory against the
-// applied set when the file changed. Saves are atomic whole-file
-// renames, so a directory read never sees a half-written dataset.
+// discoverDataset opens a Reader over a new generation of the dataset
+// when the file changed and diffs its partition directory against the
+// applied set. Saves are atomic whole-file renames, so a Reader never
+// sees a half-written dataset, and it keeps reading the generation it
+// opened even after the next rename.
 func (f *Follower) discoverDataset() error {
 	fi, err := os.Stat(f.cfg.Target)
 	if err != nil {
@@ -367,18 +369,29 @@ func (f *Follower) discoverDataset() error {
 	if fi.Size() == f.lastSize && fi.ModTime().Equal(f.lastMod) {
 		return nil
 	}
-	dir, err := store.Directory(f.cfg.Target)
+	r, err := store.Open(f.cfg.Target)
 	if err != nil {
 		return fmt.Errorf("follow: dataset directory: %w", err)
 	}
-	for _, ent := range dir {
-		k := ent.Key()
+	f.resetDataset()
+	f.dataset = r
+	for _, k := range r.Keys() {
 		if !f.applied[k] && !f.skipped[k] {
 			f.pending[k] = ""
 		}
 	}
 	f.lastSize, f.lastMod = fi.Size(), fi.ModTime()
 	return nil
+}
+
+// resetDataset closes the current dataset generation's Reader, if any,
+// and resets the (size, mtime) gate so the next poll reopens the file.
+func (f *Follower) resetDataset() {
+	if f.dataset != nil {
+		f.dataset.Close()
+		f.dataset = nil
+	}
+	f.lastSize, f.lastMod = 0, time.Time{}
 }
 
 // loadCoordBatch detects spool partitions with bounded concurrency via
@@ -450,44 +463,43 @@ func (f *Follower) loadCoordBatch(ctx context.Context, batch []store.PartitionKe
 	return ups
 }
 
-// loadDatasetBatch loads a batch of partitions from the dataset file in
-// one pass and detects them through the shared DetectRange pool. A
-// salvaged load (PartialLoadError) skips the quarantined partitions and
-// applies the survivors; a wholesale failure retries next poll.
-func (f *Follower) loadDatasetBatch(ctx context.Context, batch []store.PartitionKey) ([]api.PartitionUpdate, error) {
-	log := obs.Logger().With("component", "follow")
-	st, err := store.LoadPartitions(f.cfg.Target, batch)
-	var ple *store.PartialLoadError
-	if err != nil {
-		if !errors.As(err, &ple) {
-			// The file may have been atomically replaced mid-discovery;
-			// force a directory rescan and retry next poll.
-			f.lastSize, f.lastMod = 0, time.Time{}
-			return nil, err
-		}
-		for _, q := range ple.Quarantined {
-			f.skip(store.PartitionKey{Source: q.Source, Day: q.Day},
-				fmt.Sprintf("quarantined: %s", q.Err), log)
-		}
+// loadDatasetBatch detects a batch of partitions through the current
+// generation's Reader with the shared DetectRangeStats pool. A corrupt
+// partition is skipped permanently, as a damaged spool is in coord mode.
+// Any other failure — a key missing from this generation's directory
+// after an atomic replace, a read error — leaves the partition pending
+// and makes the next poll reopen the file.
+func (f *Follower) loadDatasetBatch(ctx context.Context, batch []store.PartitionKey) []api.PartitionUpdate {
+	if f.dataset == nil {
+		return nil // no generation open (the file is gone): retry next poll
 	}
-	var live []core.Partition
-	var keys []store.PartitionKey
-	for _, k := range batch {
-		if f.skipped[k] {
+	log := obs.Logger().With("component", "follow")
+	parts := make([]core.Partition, len(batch))
+	for i, k := range batch {
+		parts[i] = core.Partition{Source: k.Source, Day: k.Day}
+	}
+	dets, st := core.DetectRangeStats(ctx, f.dataset, parts, f.cfg.Refs, f.cfg.Workers)
+	reopen := false
+	for _, pf := range st.Failed {
+		k := store.PartitionKey{Source: pf.Source, Day: pf.Day}
+		var ce *store.CorruptPartitionError
+		if errors.As(pf.Err, &ce) {
+			f.skip(k, pf.Err.Error(), log)
 			continue
 		}
-		live = append(live, core.Partition{Source: k.Source, Day: k.Day})
-		keys = append(keys, k)
+		log.Warn("partition unreadable; will retry", "partition", k.String(), "err", pf.Err)
+		reopen = true
 	}
-	dets := core.DetectRange(ctx, st, live, f.cfg.Refs, f.cfg.Workers)
-	ups := make([]api.PartitionUpdate, 0, len(live))
-	for i, k := range keys {
-		if dets[i] == nil {
-			continue // cancelled
+	if reopen {
+		f.resetDataset()
+	}
+	ups := make([]api.PartitionUpdate, 0, len(batch))
+	for i, k := range batch {
+		if dets[i] != nil { // nil: failed or cancelled
+			ups = append(ups, api.PartitionUpdate{Source: k.Source, Day: k.Day, Det: dets[i]})
 		}
-		ups = append(ups, api.PartitionUpdate{Source: k.Source, Day: k.Day, Det: dets[i]})
 	}
-	return ups, nil
+	return ups
 }
 
 // skip permanently abandons a damaged partition.

@@ -302,6 +302,116 @@ func TestFollowSkipsDamagedSpool(t *testing.T) {
 	}
 }
 
+// TestFollowDatasetSkipsDamagedPartition: dataset mode on damaged input.
+// A bit-flipped partition in the followed .dpsa is skipped and counted
+// while every other partition applies, and the follower writes nothing
+// next to the dataset (no quarantine/ directory).
+func TestFollowDatasetSkipsDamagedPartition(t *testing.T) {
+	refs := core.MustGroundTruth()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.dpsa")
+	all := store.New()
+	for d := 0; d < 3; d++ {
+		all.Absorb(synthPart(t, refs, "com", simtime.Day(d)))
+	}
+	if err := all.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	flipPartitionByte(t, path, store.PartitionKey{Source: "com", Day: 1})
+
+	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
+	f, err := New(Config{Target: path, Refs: refs, Sink: srv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, f)
+	if st := f.Status(); st.Applied != 2 || st.Skipped != 1 || st.Lag != 0 {
+		t.Fatalf("status: %+v", st)
+	}
+	want := store.New()
+	want.Absorb(synthPart(t, refs, "com", 0))
+	want.Absorb(synthPart(t, refs, "com", 2))
+	assertSameView(t, api.NewIndex(want, refs), srv.Index())
+	if _, err := os.Stat(filepath.Join(dir, "quarantine")); !os.IsNotExist(err) {
+		t.Fatal("follower wrote a quarantine directory next to the dataset")
+	}
+}
+
+// TestFollowDatasetMissingPartitionStaysPending: a partition discovered
+// in one generation of the dataset but absent from the next (an atomic
+// replace dropped it) is not damage: it stays pending, is never
+// skipped, and the rest of the new generation still applies.
+func TestFollowDatasetMissingPartitionStaysPending(t *testing.T) {
+	refs := core.MustGroundTruth()
+	path := filepath.Join(t.TempDir(), "data.dpsa")
+	gen1 := store.New()
+	gen1.Absorb(synthPart(t, refs, "com", 0))
+	gen1.Absorb(synthPart(t, refs, "com", 1))
+	if err := gen1.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
+	f, err := New(Config{Target: path, Refs: refs, Sink: srv, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One partition per poll: com/0 applies, com/1 is left pending.
+	if n, err := f.Poll(context.Background()); n != 1 || err != nil {
+		t.Fatalf("first poll: n=%d err=%v", n, err)
+	}
+
+	gen2 := store.New()
+	for _, k := range []store.PartitionKey{{Source: "com", Day: 0}, {Source: "com", Day: 2}, {Source: "net", Day: 2}} {
+		gen2.Absorb(synthPart(t, refs, k.Source, k.Day))
+	}
+	if err := gen2.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	// com/1 is first in day order and absent from the new generation.
+	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
+		t.Fatalf("poll over the replaced file: n=%d err=%v", n, err)
+	}
+	missing := store.PartitionKey{Source: "com", Day: 1}
+	if _, ok := f.pending[missing]; !ok || f.skipped[missing] {
+		t.Fatalf("%s: pending=%v skipped=%v, want pending only", missing, ok, f.skipped[missing])
+	}
+	f.cfg.MaxBatch = 64
+	if n, err := f.Poll(context.Background()); n != 2 || err != nil {
+		t.Fatalf("catch-up poll: n=%d err=%v", n, err)
+	}
+	if st := f.Status(); st.Applied != 3 || st.Skipped != 0 || st.Lag != 1 {
+		t.Fatalf("status: %+v", st)
+	}
+}
+
+// flipPartitionByte damages one partition of a saved dataset in place:
+// a byte in the middle of its range flips, so its checksum fails.
+func flipPartitionByte(t *testing.T, path string, k store.PartitionKey) {
+	t.Helper()
+	r, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off, length uint64
+	for _, ent := range r.Partitions() {
+		if ent.Key() == k {
+			off, length = ent.Extent()
+		}
+	}
+	r.Close()
+	if length == 0 {
+		t.Fatalf("no partition %s in %s", k, path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[off+length/2] ^= 0xA5
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFollowRunLoop drives the production Run loop end to end under a
 // live coordinator commit stream.
 func TestFollowRunLoop(t *testing.T) {

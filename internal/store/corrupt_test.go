@@ -15,7 +15,7 @@ import (
 )
 
 // savedLayout describes a saved dataset's section boundaries, recovered
-// through the same footer/directory parsing Load uses.
+// through the same Open every read uses.
 type savedLayout struct {
 	data       []byte
 	partsStart uint64
@@ -33,29 +33,12 @@ func saveWithLayout(t *testing.T, s *Store) (string, savedLayout) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := readDirectoryAt(f, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay := savedLayout{data: data, dirOff: meta.dirOff, partsStart: meta.dirOff, parts: parts}
-	for _, p := range parts {
-		if p.offset < lay.partsStart {
-			lay.partsStart = p.offset
-		}
-	}
+	defer r.Close()
+	lay := savedLayout{data: data, dirOff: r.meta.dirOff, partsStart: uint64(r.partsStart), parts: r.Partitions()}
 	return path, lay
 }
 
@@ -158,6 +141,27 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsInvalidBlock: a partition whose checksum is valid but
+// whose contents are not — a domain ID past the end of the dictionary,
+// saved with a CRC computed over the bad bytes — fails Verify exactly as
+// it fails Load, so Verify's nil still means Load cannot lose data.
+func TestVerifyRejectsInvalidBlock(t *testing.T) {
+	s := populatedStore()
+	s.blocks["nl"][10].domains[0] = uint32(s.dict.Len()) + 7
+	path := filepath.Join(t.TempDir(), "bad.dpsa")
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(path); err == nil || !strings.Contains(err.Error(), "domain id out of range") {
+		t.Fatalf("Verify = %v, want a domain id out of range failure", err)
+	}
+	_, err := Load(path)
+	var pe *PartialLoadError
+	if !errors.As(err, &pe) || len(pe.Quarantined) != 1 || pe.Quarantined[0].Source != "nl" {
+		t.Fatalf("Load err = %v, want nl/10 quarantined", err)
+	}
+}
+
 // TestLoadSalvagesDamagedPartition: a torn/corrupt partition is
 // quarantined with a descriptive error while the surviving partitions
 // still load — the degrade-gracefully contract.
@@ -218,18 +222,30 @@ func TestLoadSalvagesDamagedPartition(t *testing.T) {
 		t.Fatalf("surviving partitions differ:\nwant %v\ngot  %v", want, have)
 	}
 
-	// LoadPartition of the damaged partition reports the quarantine;
-	// the other partitions still load individually.
-	if _, err := LoadPartition(bad, victim.Source, victim.Day); err == nil {
-		t.Fatal("damaged partition loaded without error")
+	// Reader.ReadAll salvages the same survivors and reports the same
+	// partition, but never writes next to the file it reads.
+	roDir := t.TempDir()
+	ro := filepath.Join(roDir, "bad.dpsa")
+	if err := os.WriteFile(ro, mut, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	ok := lay.parts[0]
-	part, err := LoadPartition(bad, ok.Source, ok.Day)
+	r, err := Open(ro)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, h := rowsOf(s, ok.Source, ok.Day), rowsOf(part, ok.Source, ok.Day); !reflect.DeepEqual(w, h) {
-		t.Fatal("surviving partition rows differ via LoadPartition")
+	defer r.Close()
+	got, err = r.ReadAll()
+	if !errors.As(err, &pe) || len(pe.Quarantined) != 1 || pe.Quarantined[0].Path != "" {
+		t.Fatalf("ReadAll err = %v, want one unquarantined damaged partition", err)
+	}
+	if q := pe.Quarantined[0]; q.Source != victim.Source || q.Day != victim.Day {
+		t.Fatalf("ReadAll reported %s/%s, want %s/%s", q.Source, q.Day, victim.Source, victim.Day)
+	}
+	if have := allRows(got); !reflect.DeepEqual(want, have) {
+		t.Fatalf("ReadAll survivors differ:\nwant %v\ngot  %v", want, have)
+	}
+	if _, err := os.Stat(filepath.Join(roDir, "quarantine")); !os.IsNotExist(err) {
+		t.Fatal("ReadAll created a quarantine directory")
 	}
 }
 
@@ -261,8 +277,8 @@ func TestQuarantineFile(t *testing.T) {
 // TestCorruptLoadTable is the fuzz-style section-boundary table: the
 // saved file is truncated, bit-flipped, and zero-filled at and around
 // every section boundary (header end, dictionary end, each partition
-// start/end, directory, footer), and Load/LoadPartition must never
-// panic and never silently return wrong data — every mutation either
+// start/end, directory, footer), and Load and the streaming Reader must
+// never panic and never silently return wrong data — every mutation either
 // fails with an error or yields exactly the original rows.
 func TestCorruptLoadTable(t *testing.T) {
 	s := populatedStore()
@@ -300,17 +316,6 @@ func TestCorruptLoadTable(t *testing.T) {
 						t.Fatalf("%s: salvaged partition %s has wrong rows", name, key)
 					}
 				}
-			}
-		}
-		// LoadPartition: same contract per partition.
-		for _, ent := range lay.parts {
-			part, err := LoadPartition(p, ent.Source, ent.Day)
-			if err != nil {
-				continue
-			}
-			w := want[fmt.Sprintf("%s/%s", ent.Source, ent.Day)]
-			if have := rowsOf(part, ent.Source, ent.Day); !reflect.DeepEqual(w, have) {
-				t.Fatalf("%s: LoadPartition(%s/%s) silently returned wrong data", name, ent.Source, ent.Day)
 			}
 		}
 		// Streaming Reader: Open may refuse the file outright; an open

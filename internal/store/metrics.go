@@ -21,17 +21,17 @@ var (
 		"partition/dictionary/directory checksum mismatches detected at load")
 	mQuarantined = obs.Default().Counter("store_quarantined_partitions_total",
 		"damaged partitions moved into quarantine/ by salvaging loads")
-	// Out-of-core read path (store.Reader): opens, on-demand partition
-	// decodes, LRU hits, and raw bytes pread from dataset files. A high
-	// decode:hit ratio on an interactive consumer means the cache is
-	// undersized; streaming sweeps visit each partition once, so decodes
-	// ≈ partitions is expected there.
+	// The read path (store.Reader, behind Load and Verify too): opens,
+	// partition decodes, LRU hits, and raw bytes pread from dataset
+	// files. A high decode:hit ratio on an interactive consumer means the
+	// cache is undersized; streaming sweeps visit each partition once, so
+	// decodes ≈ partitions is expected there.
 	mReaderOpens = obs.Default().Counter("store_reader_opens_total",
-		"datasets opened for streaming reads (store.Open)")
+		"datasets opened by store.Open (streaming reads, Load and Verify)")
 	mReaderPartitionsDecoded = obs.Default().Counter("store_reader_partitions_decoded_total",
-		"partitions decoded on demand by streaming readers")
+		"partitions decoded by store readers (streaming reads, Load and Verify)")
 	mReaderCacheHits = obs.Default().Counter("store_reader_cache_hits_total",
 		"partition acquisitions served from a reader's decoded-partition LRU")
 	mReaderBytesRead = obs.Default().Counter("store_reader_bytes_read_total",
-		"partition bytes pread from dataset files by streaming readers")
+		"partition bytes pread from dataset files by store readers")
 )

@@ -49,8 +49,8 @@ import (
 // still load.
 //
 // Version 2 readers that stop after the partition count are unaffected
-// (the directory is trailing data), and version 4 readers fall back to a
-// full sequential decode on version 2 files, which have no directory.
+// (the directory is trailing data). Version 2 files have no directory:
+// Open walks them once with the partition decoder and synthesizes one.
 //
 // All integers are little-endian. Partitions are written in sorted
 // (source, day) order, so saving the same store twice yields identical
@@ -71,10 +71,6 @@ func footerSize(version uint32) int64 {
 	}
 	return footerSizeV3
 }
-
-// ErrNoDirectory reports a dataset written before the partition
-// directory existed (version 2); callers fall back to a full Load.
-var ErrNoDirectory = errors.New("store: dataset has no partition directory")
 
 // PartitionInfo describes one (source, day) partition listed in a
 // dataset file's directory.
@@ -108,8 +104,8 @@ func (k PartitionKey) String() string { return fmt.Sprintf("%s/%s", k.Source, k.
 
 // IndexDirectory builds a keyed lookup over a directory listing. Single
 // lookups through the map are O(1) where scanning the slice is O(n) —
-// the difference matters to the follower tier, which resolves partitions
-// against a (potentially large) directory on every delta apply.
+// the difference matters to the Reader, which resolves every acquire
+// against a (potentially large) directory.
 func IndexDirectory(dir []PartitionInfo) map[PartitionKey]PartitionInfo {
 	idx := make(map[PartitionKey]PartitionInfo, len(dir))
 	for _, ent := range dir {
@@ -119,21 +115,23 @@ func IndexDirectory(dir []PartitionInfo) map[PartitionKey]PartitionInfo {
 }
 
 // QuarantinedPartition records one damaged partition that a salvaging
-// load moved aside instead of returning as silently wrong data.
+// read left out instead of returning as silently wrong data.
 type QuarantinedPartition struct {
 	Source string
 	Day    simtime.Day
-	// Path is the quarantine file holding the partition's raw bytes
-	// (empty when writing the quarantine file itself failed).
+	// Path is the quarantine file holding the partition's raw bytes.
+	// Only Load writes one; it is empty after Reader.ReadAll, which
+	// never writes, and when writing the quarantine file failed.
 	Path string
 	// Err is the descriptive load failure (checksum mismatch, truncated
 	// column, out-of-range ID, ...).
 	Err string
 }
 
-// PartialLoadError reports a salvaged load: the store returned alongside
-// it holds every surviving partition, and the damaged ones listed here
-// were quarantined into a quarantine/ directory next to the dataset.
+// PartialLoadError reports a salvaged read: the store returned alongside
+// it holds every surviving partition, and the damaged ones are listed
+// here (Load also copies them into a quarantine/ directory next to the
+// dataset).
 // Callers that can tolerate partial data (degraded-day accounting masks
 // the missing days downstream) should errors.As for this type and
 // continue with the returned store.
@@ -204,95 +202,45 @@ func syncDir(dir string) {
 	_ = d.Close()
 }
 
-// Load reads a store written by Save (any supported version), verifying
-// checksums on version 4 files. Damaged partitions do not fail the whole
-// load: they are quarantined into a quarantine/ directory next to path
-// and reported via a *PartialLoadError, while every surviving partition
-// is returned in the store. Errors that predate the directory (header,
-// dictionary, directory, footer corruption) are unrecoverable and return
-// a nil store.
+// Load reads a store written by Save (any supported version): Open plus
+// Reader.ReadAll, so checksums are verified on version 4 files and every
+// partition is decoded by the one partition decoder. Damaged partitions
+// do not fail the whole load: each is copied into a quarantine/
+// directory next to path and reported via a *PartialLoadError, while
+// every surviving partition is returned in the store. Errors that
+// predate the directory (header, dictionary, directory, footer
+// corruption) are unrecoverable and return a nil store.
 func Load(path string) (*Store, error) {
-	f, err := os.Open(path)
+	r, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	if version < 3 {
-		// Legacy: no directory, no checksums — strict sequential decode.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
+	defer r.Close()
+	s, err := r.ReadAll()
+	var pe *PartialLoadError
+	if errors.As(err, &pe) {
+		for i := range pe.Quarantined {
+			q := &pe.Quarantined[i]
+			q.Path = quarantinePartition(path, r.f, r.byKey[PartitionKey{q.Source, q.Day}], q.Err)
 		}
-		return decode(bufio.NewReaderSize(f, 1<<20))
+		mQuarantined.Add(int64(len(pe.Quarantined)))
 	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		return nil, err
-	}
-	if version >= 4 {
-		if err := verifySharedSections(f, meta, dir); err != nil {
-			return nil, err
-		}
-	}
-	s := New()
-	if err := readDictAt(f, s); err != nil {
-		return nil, err
-	}
-	var quarantined []QuarantinedPartition
-	for i := range dir {
-		ent := &dir[i]
-		if err := loadDirPartition(f, version, ent, s); err != nil {
-			quarantined = append(quarantined, quarantinePartition(path, f, ent, err))
-		}
-	}
-	if len(quarantined) > 0 {
-		mQuarantined.Add(int64(len(quarantined)))
-		return s, &PartialLoadError{Quarantined: quarantined}
-	}
-	return s, nil
-}
-
-// loadDirPartition checks and decodes one directory-listed partition.
-func loadDirPartition(f *os.File, version uint32, ent *PartitionInfo, s *Store) error {
-	if version >= 4 {
-		got, err := sectionCRC(f, int64(ent.offset), int64(ent.length))
-		if err != nil {
-			return fmt.Errorf("reading partition bytes: %w", err)
-		}
-		if got != ent.CRC {
-			mCRCFailures.Inc()
-			return fmt.Errorf("checksum mismatch (want %08x, got %08x): torn write or corruption at rest", ent.CRC, got)
-		}
-	}
-	sec := io.NewSectionReader(f, int64(ent.offset), int64(ent.length))
-	if err := readPartition(bufio.NewReaderSize(sec, 1<<20), s); err != nil {
-		return err
-	}
-	return nil
+	return s, err
 }
 
 // quarantinePartition copies a damaged partition's raw bytes into a
 // quarantine/ directory next to the dataset, with a .reason file
-// describing the failure. Quarantine I/O failures never fail the load;
-// the report then carries an empty Path.
-func quarantinePartition(path string, f *os.File, ent *PartitionInfo, cause error) QuarantinedPartition {
-	q := QuarantinedPartition{Source: ent.Source, Day: ent.Day, Err: cause.Error()}
+// describing the failure, and returns the copy's path. Quarantine I/O
+// failures never fail the load; they return "".
+func quarantinePartition(path string, f *os.File, ent PartitionInfo, cause string) string {
 	qdir := filepath.Join(filepath.Dir(path), "quarantine")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return q
+		return ""
 	}
-	base := filepath.Base(path)
-	dst := filepath.Join(qdir, fmt.Sprintf("%s.%s.%s.part", base, ent.Source, ent.Day))
+	dst := filepath.Join(qdir, fmt.Sprintf("%s.%s.%s.part", filepath.Base(path), ent.Source, ent.Day))
 	out, err := os.Create(dst)
 	if err != nil {
-		return q
+		return ""
 	}
 	_, cpErr := io.Copy(out, io.NewSectionReader(f, int64(ent.offset), int64(ent.length)))
 	if closeErr := out.Close(); cpErr == nil {
@@ -300,13 +248,12 @@ func quarantinePartition(path string, f *os.File, ent *PartitionInfo, cause erro
 	}
 	if cpErr != nil {
 		os.Remove(dst)
-		return q
+		return ""
 	}
-	q.Path = dst
 	reason := fmt.Sprintf("dataset: %s\npartition: %s/%s\nbytes: [%d, %d)\nerror: %s\n",
 		path, ent.Source, ent.Day, ent.offset, ent.offset+ent.length, cause)
 	_ = os.WriteFile(dst+".reason", []byte(reason), 0o644)
-	return q
+	return dst
 }
 
 // QuarantineFile moves a whole damaged dataset file into a quarantine/
@@ -327,171 +274,30 @@ func QuarantineFile(path string, cause error) (string, error) {
 	return dst, nil
 }
 
-// Verify checks a dataset file's integrity without building a store: on
-// version 4 files it validates the footer, directory, and every section
-// checksum (dictionary, directory, each partition); on older versions it
-// falls back to a full structural decode. A nil return means a Load of
-// the same bytes cannot lose or invent data.
+// Verify checks a dataset file's integrity without building a store or
+// writing anything: Open checks the header, footer, directory and (on
+// version 4) the shared-section checksums, then every partition goes
+// through the Reader's decoder — its checksum plus structural validation
+// — into one scratch block. A nil return means a Load of the same bytes
+// cannot lose or invent data.
 func Verify(path string) error {
-	f, err := os.Open(path)
+	r, err := Open(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	version, err := readHeader(f)
+	defer r.Close()
+	dict, err := r.SharedDict()
 	if err != nil {
 		return err
 	}
-	if version < 4 {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+	var blk dayBlock
+	var buf []byte
+	for i := range r.dir {
+		if err := r.decodePartition(&r.dir[i], &blk, dict.Len(), &buf); err != nil {
 			return err
-		}
-		if _, err := decode(bufio.NewReaderSize(f, 1<<20)); err != nil {
-			return err
-		}
-		if version >= 3 {
-			meta, err := readFooter(f, version)
-			if err != nil {
-				return err
-			}
-			if _, err := readDirectoryAt(f, meta); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		return err
-	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		return err
-	}
-	if err := verifySharedSections(f, meta, dir); err != nil {
-		return err
-	}
-	for i := range dir {
-		ent := &dir[i]
-		got, err := sectionCRC(f, int64(ent.offset), int64(ent.length))
-		if err != nil {
-			return fmt.Errorf("store: partition %s/%s: %w", ent.Source, ent.Day, err)
-		}
-		if got != ent.CRC {
-			mCRCFailures.Inc()
-			return fmt.Errorf("store: partition %s/%s checksum mismatch (want %08x, got %08x)",
-				ent.Source, ent.Day, ent.CRC, got)
 		}
 	}
 	return nil
-}
-
-// LoadPartition decodes a single (source, day) partition from a dataset
-// file, plus the shared dictionary, without decoding any other day
-// block. Version 4 partition checksums are verified first; a corrupt
-// partition is quarantined next to the dataset and reported with a
-// descriptive error. On version 2 files (no directory) it falls back to
-// a full decode and prunes. The returned store contains exactly one
-// partition.
-func LoadPartition(path, source string, day simtime.Day) (*Store, error) {
-	return LoadPartitions(path, []PartitionKey{{source, day}})
-}
-
-// LoadPartitions decodes a set of (source, day) partitions — plus the
-// shared dictionary — from a dataset file in one pass: one open, one
-// directory read, one keyed lookup per requested partition. This is the
-// follower's catch-up path: a delta of K new partitions costs K seeks
-// into the day blocks, never a full-archive decode. A requested
-// partition missing from the directory fails the whole load; a damaged
-// partition is quarantined and reported via *PartialLoadError while the
-// surviving requested partitions still load. On version 2 files (no
-// directory) it falls back to a full decode and prunes.
-func LoadPartitions(path string, keys []PartitionKey) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	if version < 3 {
-		// Legacy: no directory to seek by. Decode everything, keep the
-		// requested set.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		s, err := decode(bufio.NewReaderSize(f, 1<<20))
-		if err != nil {
-			return nil, err
-		}
-		want := make(map[PartitionKey]bool, len(keys))
-		for _, k := range keys {
-			if s.blocks[k.Source][k.Day] == nil {
-				return nil, fmt.Errorf("store: no partition %s in %s", k, path)
-			}
-			want[k] = true
-		}
-		for _, src := range s.Sources() {
-			for _, d := range s.Days(src) {
-				if !want[PartitionKey{src, d}] {
-					s.DropDay(src, d)
-				}
-			}
-		}
-		return s, nil
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		return nil, err
-	}
-	byKey := IndexDirectory(dir)
-	s := New()
-	if err := readDictAt(f, s); err != nil {
-		return nil, err
-	}
-	var quarantined []QuarantinedPartition
-	for _, k := range keys {
-		ent, ok := byKey[k]
-		if !ok {
-			return nil, fmt.Errorf("store: no partition %s in %s", k, path)
-		}
-		if err := loadDirPartition(f, version, &ent, s); err != nil {
-			quarantined = append(quarantined, quarantinePartition(path, f, &ent, err))
-		}
-	}
-	if len(quarantined) > 0 {
-		mQuarantined.Add(int64(len(quarantined)))
-		return s, &PartialLoadError{Quarantined: quarantined}
-	}
-	return s, nil
-}
-
-// Directory reads a dataset file's partition listing without decoding
-// any data. Version 2 files return ErrNoDirectory.
-func Directory(path string) ([]PartitionInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	if version < 3 {
-		return nil, ErrNoDirectory
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		return nil, err
-	}
-	return readDirectoryAt(f, meta)
 }
 
 // readHeader validates the magic and returns the format version.
@@ -510,16 +316,7 @@ func readHeader(f *os.File) (uint32, error) {
 	return version, nil
 }
 
-// readDictAt seeks to the dictionary (it immediately follows the 8-byte
-// header) and decodes it into s.
-func readDictAt(f *os.File, s *Store) error {
-	if _, err := f.Seek(8, io.SeekStart); err != nil {
-		return err
-	}
-	return readDict(bufio.NewReaderSize(f, 1<<20), s)
-}
-
-// fileMeta is a v3+ file's footer, decoded.
+// fileMeta is a file's version and size plus, on v3+, its footer.
 type fileMeta struct {
 	version uint32
 	size    int64
@@ -559,41 +356,26 @@ func readFooter(f *os.File, version uint32) (fileMeta, error) {
 
 // readDirectoryAt parses the partition directory located by meta.
 func readDirectoryAt(f *os.File, meta fileMeta) ([]PartitionInfo, error) {
-	dirLen := meta.size - footerSize(meta.version) - int64(meta.dirOff)
-	r := bufio.NewReader(io.NewSectionReader(f, int64(meta.dirOff), dirLen))
-	count, err := readU32(r)
-	if err != nil {
+	buf := make([]byte, meta.size-footerSize(meta.version)-int64(meta.dirOff))
+	if _, err := f.ReadAt(buf, int64(meta.dirOff)); err != nil {
 		return nil, err
 	}
+	c := byteCursor{data: buf}
+	count := c.u32()
 	if count > maxPersistCount {
 		return nil, fmt.Errorf("store: directory too large")
 	}
-	out := make([]PartitionInfo, 0, count)
+	// An entry is at least 30 bytes, which bounds the allocation a
+	// corrupt count can ask for.
+	out := make([]PartitionInfo, 0, min(int(count), len(buf)/30))
 	for i := uint32(0); i < count; i++ {
-		var ent PartitionInfo
-		if ent.Source, err = readStr(r); err != nil {
-			return nil, err
-		}
-		var day int64
-		if err := binary.Read(r, binary.LittleEndian, &day); err != nil {
-			return nil, err
-		}
-		ent.Day = simtime.Day(day)
-		rows, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		ent.Rows = int(rows)
-		var buf [16]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
-		}
-		ent.offset = binary.LittleEndian.Uint64(buf[:8])
-		ent.length = binary.LittleEndian.Uint64(buf[8:])
+		ent := PartitionInfo{Source: c.str(), Day: simtime.Day(c.i64()), Rows: int(c.u32())}
+		ent.offset, ent.length = c.u64(), c.u64()
 		if meta.version >= 4 {
-			if ent.CRC, err = readU32(r); err != nil {
-				return nil, err
-			}
+			ent.CRC = c.u32()
+		}
+		if c.err != nil {
+			return nil, c.err
 		}
 		if ent.offset+ent.length > uint64(meta.size) || ent.offset+ent.length < ent.offset {
 			return nil, fmt.Errorf("store: directory entry out of range")
@@ -605,18 +387,10 @@ func readDirectoryAt(f *os.File, meta fileMeta) ([]PartitionInfo, error) {
 
 // verifySharedSections checks the v4 dictionary and directory checksums
 // — the sections every partition depends on. A mismatch there is
-// unsalvageable, so these fail the whole load.
-func verifySharedSections(f *os.File, meta fileMeta, dir []PartitionInfo) error {
-	// The dict section spans from the header to the first partition (or
-	// straight to the directory when the store is empty), including the
-	// partition-count word.
-	partsStart := meta.dirOff
-	for i := range dir {
-		if dir[i].offset < partsStart {
-			partsStart = dir[i].offset
-		}
-	}
-	got, err := sectionCRC(f, 8, int64(partsStart)-8)
+// unsalvageable, so these fail the whole open. The dict section spans
+// from the header to partsStart, including the partition-count word.
+func verifySharedSections(f *os.File, meta fileMeta, partsStart int64) error {
+	got, err := sectionCRC(f, 8, partsStart-8)
 	if err != nil {
 		return err
 	}
@@ -805,131 +579,6 @@ func writePartition(w io.Writer, source string, day simtime.Day, b *dayBlock) er
 // maxPersistCount bounds per-section element counts on load.
 const maxPersistCount = 1 << 30
 
-func decode(r io.Reader) (*Store, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	if string(magic[:]) != persistMagic {
-		return nil, fmt.Errorf("store: not a dataset file")
-	}
-	version, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if version < 2 || version > persistVersion {
-		return nil, fmt.Errorf("store: unsupported version %d", version)
-	}
-	s := New()
-	if err := readDict(r, s); err != nil {
-		return nil, err
-	}
-	nParts, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nParts; i++ {
-		if err := readPartition(r, s); err != nil {
-			return nil, err
-		}
-	}
-	// Trailing directory + footer bytes (version 3+) are intentionally
-	// left unread: a full decode has no use for them.
-	return s, nil
-}
-
-// readDict decodes the shared dictionary into s.
-func readDict(r io.Reader, s *Store) error {
-	nStrs, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if nStrs > maxPersistCount {
-		return fmt.Errorf("store: dictionary too large")
-	}
-	for i := uint32(0); i < nStrs; i++ {
-		str, err := readStr(r)
-		if err != nil {
-			return err
-		}
-		s.dict.ID(str)
-	}
-	return nil
-}
-
-// readPartition decodes one (source, day) block, validates it, and
-// installs it in s.
-func readPartition(r io.Reader, s *Store) error {
-	source, err := readStr(r)
-	if err != nil {
-		return err
-	}
-	var day int64
-	if err := binary.Read(r, binary.LittleEndian, &day); err != nil {
-		return err
-	}
-	rows, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	nV6, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	nASN, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if rows > maxPersistCount || nV6 > rows || nASN > maxPersistCount {
-		return fmt.Errorf("store: corrupt partition header")
-	}
-	b := &dayBlock{}
-	if b.domains, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	kinds := make([]byte, rows)
-	if _, err := io.ReadFull(r, kinds); err != nil {
-		return err
-	}
-	b.kinds = make([]Kind, rows)
-	for j, k := range kinds {
-		if Kind(k) >= numKinds {
-			return fmt.Errorf("store: bad kind %d", k)
-		}
-		b.kinds[j] = Kind(k)
-	}
-	if b.addrs, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	b.addrs6 = make([][16]byte, nV6)
-	for j := range b.addrs6 {
-		if _, err := io.ReadFull(r, b.addrs6[j][:]); err != nil {
-			return err
-		}
-	}
-	if b.strs, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	if b.asnOff, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	if b.asnVals, err = readU32s(r, nASN); err != nil {
-		return err
-	}
-	if err := validateBlock(b, s.dict.Len()); err != nil {
-		return err
-	}
-	days := s.blocks[source]
-	if days == nil {
-		days = make(map[simtime.Day]*dayBlock)
-		s.blocks[source] = days
-	}
-	days[simtime.Day(day)] = b
-	mPartitions.Inc()
-	mResidentRows.Add(float64(b.rows()))
-	return nil
-}
-
 // validateBlock checks cross-column invariants of a loaded partition so a
 // corrupt file cannot cause out-of-range panics later.
 func validateBlock(b *dayBlock, dictLen int) error {
@@ -960,14 +609,6 @@ func writeU32(w io.Writer, v uint32) error {
 	return err
 }
 
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
 func writeU32s(w io.Writer, vals []uint32) error {
 	buf := make([]byte, 4*len(vals))
 	for i, v := range vals {
@@ -975,18 +616,6 @@ func writeU32s(w io.Writer, vals []uint32) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-func readU32s(r io.Reader, n uint32) ([]uint32, error) {
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return out, nil
 }
 
 func writeStr(w io.Writer, s string) error {
@@ -1000,16 +629,4 @@ func writeStr(w io.Writer, s string) error {
 	}
 	_, err := io.WriteString(w, s)
 	return err
-}
-
-func readStr(r io.Reader) (string, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return "", err
-	}
-	buf := make([]byte, binary.LittleEndian.Uint16(b[:]))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

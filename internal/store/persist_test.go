@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -103,10 +102,12 @@ func TestDirectory(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	dir, err := Directory(path)
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
+	dir := r.Partitions()
 	want := 0
 	for _, src := range s.Sources() {
 		want += len(s.Days(src))
@@ -119,122 +120,46 @@ func TestDirectory(t *testing.T) {
 			t.Errorf("%s/%v: directory says %d rows, store has %d", ent.Source, ent.Day, ent.Rows, got)
 		}
 	}
-}
-
-func TestDirectoryLegacy(t *testing.T) {
-	path := legacyV2File(t, populatedStore())
-	if _, err := Directory(path); !errors.Is(err, ErrNoDirectory) {
-		t.Fatalf("err = %v, want ErrNoDirectory", err)
-	}
-}
-
-func TestLoadPartition(t *testing.T) {
-	s := populatedStore()
-	path := filepath.Join(t.TempDir(), "data.dpsa")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range s.Sources() {
-		for _, day := range s.Days(src) {
-			part, err := LoadPartition(path, src, day)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := part.Sources(); len(got) != 1 || got[0] != src {
-				t.Fatalf("sources = %v, want [%s]", got, src)
-			}
-			if got := part.Days(src); len(got) != 1 || got[0] != day {
-				t.Fatalf("days = %v, want [%v]", got, day)
-			}
-			if want, have := rowsOf(s, src, day), rowsOf(part, src, day); !reflect.DeepEqual(want, have) {
-				t.Fatalf("%s/%v rows differ:\nwant %+v\ngot  %+v", src, day, want, have)
-			}
-		}
-	}
-	if _, err := LoadPartition(path, "com", 99); err == nil {
-		t.Fatal("missing partition accepted")
-	}
-	if _, err := LoadPartition(path, "org", 0); err == nil {
-		t.Fatal("missing source accepted")
-	}
-}
-
-func TestLoadPartitionsBatch(t *testing.T) {
-	s := populatedStore()
-	path := filepath.Join(t.TempDir(), "data.dpsa")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	dir, err := Directory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All partitions in one pass: contents identical to the source store.
-	keys := make([]PartitionKey, 0, len(dir))
-	for _, ent := range dir {
-		keys = append(keys, ent.Key())
-	}
-	got, err := LoadPartitions(path, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if want, have := rowsOf(s, k.Source, k.Day), rowsOf(got, k.Source, k.Day); !reflect.DeepEqual(want, have) {
-			t.Fatalf("%s rows differ:\nwant %+v\ngot  %+v", k, want, have)
-		}
-	}
-	// A subset loads only the subset.
-	sub, err := LoadPartitions(path, keys[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, src := range sub.Sources() {
-		total += len(sub.Days(src))
-	}
-	if total != 1 {
-		t.Fatalf("subset load holds %d partitions, want 1", total)
-	}
-	// A missing key fails the whole batch with a descriptive error.
-	if _, err := LoadPartitions(path, []PartitionKey{keys[0], {"org", 99}}); err == nil {
-		t.Fatal("missing partition accepted in batch")
-	}
 	// The keyed index agrees with the listing.
 	byKey := IndexDirectory(dir)
 	if len(byKey) != len(dir) {
 		t.Fatalf("IndexDirectory has %d entries, want %d", len(byKey), len(dir))
 	}
 	for _, ent := range dir {
-		if byKey[ent.Key()].Rows != ent.Rows {
+		if byKey[ent.Key()] != ent {
 			t.Fatalf("keyed entry %s disagrees with listing", ent.Key())
 		}
 	}
 }
 
-func TestLoadPartitionLegacyFallback(t *testing.T) {
+// TestDirectoryLegacy: a version 2 file has no directory on disk, so
+// Open walks it and synthesizes one whose entries (rows and byte ranges)
+// match the directory the same store gets when saved today.
+func TestDirectoryLegacy(t *testing.T) {
 	s := populatedStore()
-	path := legacyV2File(t, s)
-	// Full decode still works on v2 bytes...
-	full, err := Load(path)
+	path := filepath.Join(t.TempDir(), "data.dpsa")
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(full.Sources(), s.Sources()) {
-		t.Fatalf("sources = %v", full.Sources())
-	}
-	// ...and LoadPartition falls back to it transparently.
-	part, err := LoadPartition(path, "nl", 10)
+	defer cur.Close()
+	legacy, err := Open(legacyV2File(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := part.Sources(); len(got) != 1 || got[0] != "nl" {
-		t.Fatalf("sources = %v, want [nl]", got)
+	defer legacy.Close()
+	if legacy.Info().Directory {
+		t.Fatal("v2 file reports an on-disk directory")
 	}
-	if want, have := rowsOf(s, "nl", 10), rowsOf(part, "nl", 10); !reflect.DeepEqual(want, have) {
-		t.Fatalf("rows differ:\nwant %+v\ngot  %+v", want, have)
+	want := cur.Partitions()
+	for i := range want {
+		want[i].CRC = 0 // v2 predates checksums
 	}
-	if _, err := LoadPartition(path, "com", 99); err == nil {
-		t.Fatal("missing partition accepted on legacy file")
+	if got := legacy.Partitions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("synthesized directory:\n got %+v\nwant %+v", got, want)
 	}
 }
 

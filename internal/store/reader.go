@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,13 +13,13 @@ import (
 	"dpsadopt/internal/simtime"
 )
 
-// Reader is the out-of-core read path over a .dpsa dataset: it opens the
-// file via the v3+ partition directory and serves per-partition decodes
-// on demand, so consumers (streaming detection, the API index build,
-// dpsdata) hold O(largest partition × concurrent acquires) in memory
-// instead of the whole archive. Contrast Load, which decodes every
-// partition up front; Load remains the parity oracle and the right call
-// when the caller genuinely needs a resident *Store.
+// Reader is the one read path over a .dpsa dataset and holds the one
+// partition decoder (decodeBlock): Load, Verify, streaming detection, the
+// API index build and dpsdata all read through it. Open reads the file's
+// layout via the v3+ partition directory and partitions decode on
+// demand, so streaming consumers hold O(largest partition × concurrent
+// acquires) in memory instead of the whole archive; ReadAll materializes
+// every partition for callers that need a resident *Store.
 //
 // Each AcquireBatch is one pread of the partition's byte range
 // (CRC-verified against the directory entry on v4 files, in the same
@@ -28,18 +27,21 @@ import (
 // backed by pooled column buffers, so a full streaming sweep's
 // steady-state allocations stay bounded by the pool, not the dataset.
 //
-// Version 2 files predate the directory: Open falls back to one
-// sequential full decode (the ErrNoDirectory path, hidden from callers)
-// and serves acquires from the resident copy.
+// Version 2 files predate the directory: Open walks them once with the
+// same decoder to find each partition's byte range, and from then on
+// they are read like any other file.
 //
 // A Reader is safe for concurrent use. It never writes: a corrupt
-// partition surfaces as a *CorruptPartitionError from AcquireBatch
-// instead of being quarantined on disk (quarantine is Load's job — the
-// read path must stay usable against files it has no right to move).
+// partition surfaces as a *CorruptPartitionError instead of being
+// quarantined on disk (quarantine is Load's job — the read path must
+// stay usable against files it has no right to move).
 type Reader struct {
 	path string
 	f    *os.File
 	meta fileMeta
+	// partsStart is where the partitions begin: the end of the
+	// dictionary section (which includes the partition-count word).
+	partsStart int64
 
 	dir   []PartitionInfo
 	byKey map[PartitionKey]PartitionInfo
@@ -47,10 +49,6 @@ type Reader struct {
 	dictOnce sync.Once
 	dict     *Dict
 	dictErr  error
-
-	// fallback holds the fully decoded archive for version 2 files; all
-	// acquires are served from it and the LRU machinery sits idle.
-	fallback *Store
 
 	mu       sync.Mutex
 	closed   bool
@@ -78,10 +76,10 @@ type cachedBlock struct {
 const DefaultCachePartitions = 4
 
 // CorruptPartitionError reports a partition whose bytes failed the
-// checksum or structural validation during a streaming read — the
-// quarantine-candidate signal of the read-only path. The partition's
-// rows are never returned; the caller decides whether to skip, fail, or
-// hand the file to a salvaging Load (which quarantines on disk).
+// checksum or structural validation — the quarantine-candidate signal of
+// the read path. The partition's rows are never returned; the caller
+// decides whether to skip, fail, or hand the file to a salvaging Load
+// (which quarantines on disk).
 type CorruptPartitionError struct {
 	Source string
 	Day    simtime.Day
@@ -94,19 +92,14 @@ func (e *CorruptPartitionError) Error() string {
 
 func (e *CorruptPartitionError) Unwrap() error { return e.Err }
 
-// Open opens a dataset file for streaming partition reads. On v3+ files
-// only the footer and directory are read (plus, on v4, one checksum pass
-// over the shared dictionary and directory sections) — no partition is
-// decoded and the dictionary itself decodes lazily on first use. Version
-// 2 files fall back to a sequential full decode held in memory.
+// Open opens a dataset file for partition reads. On v3+ files only the
+// footer and directory are read (plus, on v4, one checksum pass over the
+// shared dictionary and directory sections) — no partition is decoded
+// and the dictionary itself decodes lazily on first use. Version 2 files
+// are walked once to synthesize the directory.
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
-	}
-	version, err := readHeader(f)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	r := &Reader{
@@ -118,62 +111,78 @@ func Open(path string) (*Reader, error) {
 	}
 	r.blkPool.New = func() any { return &dayBlock{} }
 	r.bufPool.New = func() any { return new([]byte) }
-	if version < 3 {
-		if err := r.openFallback(version); err != nil {
-			f.Close()
-			return nil, err
-		}
-		mReaderOpens.Inc()
-		return r, nil
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
+	if err := r.layout(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if version >= 4 {
-		if err := verifySharedSections(f, meta, dir); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	r.meta = meta
-	r.dir = dir
-	r.byKey = IndexDirectory(dir)
+	r.byKey = IndexDirectory(r.dir)
 	mReaderOpens.Inc()
 	return r, nil
 }
 
-// openFallback is Open's version-2 path: no directory to seek by, so the
-// archive is decoded once (the ErrNoDirectory fallback) and a directory
-// listing is synthesized from the resident partitions.
-func (r *Reader) openFallback(version uint32) error {
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	s, err := decode(bufio.NewReaderSize(r.f, 1<<20))
+// layout reads the header, then the footer and directory of a v3+ file
+// (checking the shared sections on v4), or walks a version 2 file.
+func (r *Reader) layout() error {
+	version, err := readHeader(r.f)
 	if err != nil {
 		return err
 	}
+	if version < 3 {
+		return r.walkLegacy(version)
+	}
+	if r.meta, err = readFooter(r.f, version); err != nil {
+		return err
+	}
+	if r.dir, err = readDirectoryAt(r.f, r.meta); err != nil {
+		return err
+	}
+	r.partsStart = int64(r.meta.dirOff)
+	for i := range r.dir {
+		r.partsStart = min(r.partsStart, int64(r.dir[i].offset))
+	}
+	if r.partsStart < 8+4 {
+		return fmt.Errorf("store: partition directory overlaps the dictionary")
+	}
+	if version >= 4 {
+		return verifySharedSections(r.f, r.meta, r.partsStart)
+	}
+	return nil
+}
+
+// walkLegacy lays out a version 2 file, which has no directory to seek
+// by: one pass over the whole file with the partition decoder validates
+// every partition and records its byte range, and the directory is
+// synthesized from that walk.
+func (r *Reader) walkLegacy(version uint32) error {
 	st, err := r.f.Stat()
 	if err != nil {
 		return err
 	}
 	r.meta = fileMeta{version: version, size: st.Size()}
-	r.fallback = s
-	for _, src := range s.Sources() {
-		for _, day := range s.Days(src) {
-			r.dir = append(r.dir, PartitionInfo{
-				Source: src, Day: day, Rows: s.blocks[src][day].rows(),
-			})
-		}
+	data := make([]byte, st.Size())
+	if _, err := r.f.ReadAt(data, 0); err != nil {
+		return err
 	}
-	r.byKey = IndexDirectory(r.dir)
+	c := byteCursor{data: data, off: 8}
+	dict, err := decodeDict(&c)
+	if err != nil {
+		return err
+	}
+	n := c.u32()
+	if c.err != nil {
+		return c.err
+	}
+	r.partsStart = int64(c.off)
+	var blk dayBlock
+	for i := uint32(0); i < n; i++ {
+		start := c.off
+		source, day, err := decodeBlock(&c, &blk, dict.Len())
+		if err != nil {
+			return err
+		}
+		r.dir = append(r.dir, PartitionInfo{Source: source, Day: day, Rows: blk.rows(),
+			offset: uint64(start), length: uint64(c.off - start)})
+	}
 	return nil
 }
 
@@ -221,18 +230,59 @@ func (r *Reader) SetCachePartitions(n int) {
 // It implements half of core's BatchSource contract; *Store carries the
 // same method for the in-memory side.
 func (r *Reader) SharedDict() (*Dict, error) {
-	if r.fallback != nil {
-		return r.fallback.dict, nil
-	}
-	r.dictOnce.Do(func() {
-		s := New()
-		if err := readDictAt(r.f, s); err != nil {
-			r.dictErr = fmt.Errorf("store: reading dictionary: %w", err)
-			return
-		}
-		r.dict = s.dict
-	})
+	r.dictOnce.Do(func() { r.dict, r.dictErr = r.readDict() })
 	return r.dict, r.dictErr
+}
+
+// readDict decodes a fresh copy of the file's dictionary.
+func (r *Reader) readDict() (*Dict, error) {
+	buf := make([]byte, r.partsStart-8)
+	if _, err := r.f.ReadAt(buf, 8); err != nil {
+		return nil, fmt.Errorf("store: reading dictionary: %w", err)
+	}
+	c := byteCursor{data: buf}
+	d, err := decodeDict(&c)
+	if err != nil {
+		return nil, fmt.Errorf("store: reading dictionary: %w", err)
+	}
+	return d, nil
+}
+
+// ReadAll materializes every partition into a Store that owns its
+// blocks and its dictionary — fresh columns, never the LRU's pooled ones
+// — so the store stays valid after the Reader is closed. Damaged
+// partitions are left out and listed in a *PartialLoadError (with empty
+// Paths: ReadAll never writes) next to the store of survivors.
+func (r *Reader) ReadAll() (*Store, error) {
+	dict, err := r.readDict()
+	if err != nil {
+		return nil, err
+	}
+	s := New()
+	s.dict = dict
+	var damaged []QuarantinedPartition
+	var buf []byte
+	for i := range r.dir {
+		ent := &r.dir[i]
+		blk := &dayBlock{}
+		if err := r.decodePartition(ent, blk, dict.Len(), &buf); err != nil {
+			damaged = append(damaged, QuarantinedPartition{Source: ent.Source, Day: ent.Day,
+				Err: err.(*CorruptPartitionError).Err.Error()})
+			continue
+		}
+		days := s.blocks[ent.Source]
+		if days == nil {
+			days = make(map[simtime.Day]*dayBlock)
+			s.blocks[ent.Source] = days
+		}
+		days[ent.Day] = blk
+		mPartitions.Inc()
+		mResidentRows.Add(float64(blk.rows()))
+	}
+	if len(damaged) > 0 {
+		return s, &PartialLoadError{Quarantined: damaged}
+	}
+	return s, nil
 }
 
 // AcquireBatch decodes (or fetches from the LRU) one partition and
@@ -243,10 +293,6 @@ func (r *Reader) SharedDict() (*Dict, error) {
 // absent from the directory is a plain error.
 func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(), error) {
 	noop := func() {}
-	if r.fallback != nil {
-		b, _ := r.fallback.RowBatch(source, day)
-		return b, noop, nil
-	}
 	k := PartitionKey{Source: source, Day: day}
 	ent, ok := r.byKey[k]
 	if !ok {
@@ -284,7 +330,13 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 	r.inflight[k] = ch
 	r.mu.Unlock()
 
-	blk, err := r.decodePartition(&ent, dict)
+	bufp := r.bufPool.Get().(*[]byte)
+	blk := r.blkPool.Get().(*dayBlock)
+	err = r.decodePartition(&ent, blk, dict.Len(), bufp)
+	r.bufPool.Put(bufp)
+	if err != nil {
+		r.blkPool.Put(blk)
+	}
 
 	r.mu.Lock()
 	delete(r.inflight, k)
@@ -342,42 +394,41 @@ func (r *Reader) evictLocked() {
 	}
 }
 
-// decodePartition preads one partition's byte range into a pooled
-// buffer, checks the directory CRC over that same buffer (v4), and
-// decodes it into a pooled block — one pass over the bytes where Load
-// pays two (a checksum read, then a SectionReader decode).
-func (r *Reader) decodePartition(ent *PartitionInfo, dict *Dict) (*dayBlock, error) {
-	bufp := r.bufPool.Get().(*[]byte)
-	defer r.bufPool.Put(bufp)
-	if uint64(cap(*bufp)) < ent.length {
-		*bufp = make([]byte, ent.length)
+// decodePartition preads one partition's byte range into *buf (grown as
+// needed), checks the directory CRC over those same bytes (v4), and
+// decodes them into blk — one pass over the bytes. Every failure is a
+// *CorruptPartitionError.
+func (r *Reader) decodePartition(ent *PartitionInfo, blk *dayBlock, dictLen int, buf *[]byte) error {
+	corrupt := func(err error) error {
+		return &CorruptPartitionError{Source: ent.Source, Day: ent.Day, Err: err}
 	}
-	buf := (*bufp)[:ent.length]
-	if _, err := r.f.ReadAt(buf, int64(ent.offset)); err != nil {
-		return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day,
-			Err: fmt.Errorf("reading partition bytes: %w", err)}
+	if uint64(cap(*buf)) < ent.length {
+		*buf = make([]byte, ent.length)
 	}
-	mReaderBytesRead.Add(int64(len(buf)))
+	data := (*buf)[:ent.length]
+	if _, err := r.f.ReadAt(data, int64(ent.offset)); err != nil {
+		return corrupt(fmt.Errorf("reading partition bytes: %w", err))
+	}
+	mReaderBytesRead.Add(int64(len(data)))
 	if r.meta.version >= 4 {
-		if got := crc32.ChecksumIEEE(buf); got != ent.CRC {
+		if got := crc32.ChecksumIEEE(data); got != ent.CRC {
 			mCRCFailures.Inc()
-			return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day,
-				Err: fmt.Errorf("checksum mismatch (want %08x, got %08x): torn write or corruption at rest", ent.CRC, got)}
+			return corrupt(fmt.Errorf("checksum mismatch (want %08x, got %08x): torn write or corruption at rest", ent.CRC, got))
 		}
 	}
-	blk := r.blkPool.Get().(*dayBlock)
-	source, day, err := decodeBlockInto(buf, blk, dict.Len())
+	c := byteCursor{data: data}
+	source, day, err := decodeBlock(&c, blk, dictLen)
+	if err == nil && c.off != len(data) {
+		err = fmt.Errorf("store: partition has %d trailing bytes", len(data)-c.off)
+	}
 	if err != nil {
-		r.blkPool.Put(blk)
-		return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day, Err: err}
+		return corrupt(err)
 	}
 	if source != ent.Source || day != ent.Day {
-		r.blkPool.Put(blk)
-		return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day,
-			Err: fmt.Errorf("directory points at partition %s/%s", source, day)}
+		return corrupt(fmt.Errorf("directory points at partition %s/%s", source, day))
 	}
 	mReaderPartitionsDecoded.Inc()
-	return blk, nil
+	return nil
 }
 
 // batch is the RowBatch view of a decoded block (the Reader-side twin of
@@ -394,12 +445,24 @@ func (b *dayBlock) batch() RowBatch {
 	}
 }
 
-// decodeBlockInto parses one partition's serialized bytes (the exact
-// range a directory entry names) into b, reusing b's column slices. It
-// mirrors readPartition but works on an in-memory buffer with bounds
-// checks instead of a Reader, and validates the block before returning.
-func decodeBlockInto(data []byte, b *dayBlock, dictLen int) (source string, day simtime.Day, err error) {
-	c := byteCursor{data: data}
+// decodeDict parses the shared dictionary at the cursor.
+func decodeDict(c *byteCursor) (*Dict, error) {
+	n := c.u32()
+	if n > maxPersistCount {
+		return nil, fmt.Errorf("store: dictionary too large")
+	}
+	d := NewDict()
+	for i := uint32(0); i < n && c.err == nil; i++ {
+		d.ID(c.str())
+	}
+	return d, c.err
+}
+
+// decodeBlock is the partition decoder: it parses one serialized
+// (source, day) partition at the cursor into b, reusing b's column
+// slices, and validates the block before returning. It is the only code
+// that parses a partition's bytes.
+func decodeBlock(c *byteCursor, b *dayBlock, dictLen int) (source string, day simtime.Day, err error) {
 	source = c.str()
 	day = simtime.Day(c.i64())
 	rows := c.u32()
@@ -420,9 +483,6 @@ func decodeBlockInto(data []byte, b *dayBlock, dictLen int) (source string, day 
 	b.asnVals = c.u32sInto(b.asnVals, int(nASN))
 	if c.err != nil {
 		return "", 0, c.err
-	}
-	if c.off != len(data) {
-		return "", 0, fmt.Errorf("store: partition has %d trailing bytes", len(data)-c.off)
 	}
 	if cap(b.kinds) < int(rows) {
 		b.kinds = make([]Kind, rows)
@@ -478,13 +538,15 @@ func (c *byteCursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(p)
 }
 
-func (c *byteCursor) i64() int64 {
+func (c *byteCursor) u64() uint64 {
 	p := c.take(8)
 	if p == nil {
 		return 0
 	}
-	return int64(binary.LittleEndian.Uint64(p))
+	return binary.LittleEndian.Uint64(p)
 }
+
+func (c *byteCursor) i64() int64 { return int64(c.u64()) }
 
 func (c *byteCursor) str() string {
 	p := c.take(2)
@@ -520,13 +582,13 @@ type ReaderInfo struct {
 	FileBytes  int64
 	Partitions int
 	Rows       int64
-	// PartitionBytes sums the directory's partition byte ranges (zero on
-	// version 2 files, whose synthesized directory has no offsets).
+	// PartitionBytes sums the directory's partition byte ranges.
 	PartitionBytes int64
 	Sources        []string
 	FirstDay       simtime.Day
 	LastDay        simtime.Day
-	// Directory is false on version 2 files (resident fallback).
+	// Directory is false on version 2 files, whose directory Open
+	// synthesized by walking the file.
 	Directory bool
 	// CRCPartitions reports per-partition checksums (version 4+).
 	CRCPartitions bool
@@ -539,7 +601,7 @@ func (r *Reader) Info() ReaderInfo {
 		Version:       r.meta.version,
 		FileBytes:     r.meta.size,
 		Partitions:    len(r.dir),
-		Directory:     r.fallback == nil,
+		Directory:     r.meta.version >= 3,
 		CRCPartitions: r.meta.version >= 4,
 	}
 	seen := make(map[string]bool)

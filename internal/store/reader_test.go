@@ -59,8 +59,8 @@ func TestReaderRoundTrip(t *testing.T) {
 	if got := r.Keys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Keys() = %v, want %v", got, want)
 	}
-	// Every partition decodes to exactly the original rows — Load is the
-	// parity oracle.
+	// Every partition decodes to exactly the original rows of the saved
+	// in-memory store, the parity oracle.
 	for _, k := range want {
 		if w, h := rowsOf(s, k.Source, k.Day), readerRows(t, r, k.Source, k.Day); !reflect.DeepEqual(w, h) {
 			t.Fatalf("%s streaming rows differ:\nwant %+v\ngot  %+v", k, w, h)
@@ -95,17 +95,17 @@ func TestReaderRoundTrip(t *testing.T) {
 	if _, _, err := r.AcquireBatch("com", 99); err == nil {
 		t.Fatal("missing partition acquired without error")
 	}
+	if _, _, err := r.AcquireBatch("org", 0); err == nil {
+		t.Fatal("missing source acquired without error")
+	}
 }
 
-// TestReaderV2Fallback: version 2 files have no directory
-// (ErrNoDirectory territory), so Open falls back to one sequential full
-// decode and still serves every partition.
+// TestReaderV2Fallback: version 2 files have no directory, so Open walks
+// the file once and still serves every partition; Load, built on the
+// Reader, reads the same rows.
 func TestReaderV2Fallback(t *testing.T) {
 	s := populatedStore()
 	path := legacyV2File(t, s)
-	if _, err := Directory(path); !errors.Is(err, ErrNoDirectory) {
-		t.Fatalf("fixture is not a directoryless file: %v", err)
-	}
 	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +124,16 @@ func TestReaderV2Fallback(t *testing.T) {
 				t.Fatalf("%s/%s v2 fallback rows differ", src, day)
 			}
 		}
+	}
+	full, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(allRows(full), allRows(s)) {
+		t.Fatal("Load of a v2 file differs from the saved store")
+	}
+	if _, _, err := r.AcquireBatch("com", 99); err == nil {
+		t.Fatal("missing partition acquired without error on a v2 file")
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 // build (store.Load + api.NewIndex) against the streaming build
 // (store.Open + api.NewIndexReader) over the same dataset files at a
 // sweep of world scales; BenchmarkScaleDetect compares the raw
-// detection pass (core.DetectRange resident vs core.DetectRangeSource
-// streaming) without the index fold. Whichever runs last persists both
+// detection pass (core.DetectRangeStats over a resident store vs over a
+// streaming Reader) without the index fold. Whichever runs last persists both
 // sections to results/BENCH_scale.json (schema scale/v1), the artifact
 // scripts/benchdiff.sh tracks. Acceptance at the largest scale (the
 // smallest divisor): streaming peak heap <= 25% of full-load and
@@ -197,10 +197,10 @@ func TestScaleCellHelper(t *testing.T) {
 			}
 			defer r.Close()
 			r.SetCachePartitions(1)
-			var failed []core.PartitionFailure
-			streamDets, _, failed = core.DetectRangeSource(context.Background(), r, core.ReaderPartitions(r), refs, 0)
-			if len(failed) > 0 {
-				return fmt.Errorf("%d partitions failed streaming detection", len(failed))
+			var st core.RangeStats
+			streamDets, st = core.DetectRangeStats(context.Background(), r, core.ReaderPartitions(r), refs, 0)
+			if len(st.Failed) > 0 {
+				return fmt.Errorf("%d partitions failed streaming detection", len(st.Failed))
 			}
 			return nil
 		})
@@ -212,7 +212,7 @@ func TestScaleCellHelper(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			fullDets = core.DetectRange(context.Background(), s, core.Partitions(s), refs, 0)
+			fullDets, _ = core.DetectRangeStats(context.Background(), s, core.Partitions(s), refs, 0)
 			return nil
 		})
 		if err != nil {

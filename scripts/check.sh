@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: vet, build, and race-enabled tests for the whole
-# module. Mirrors `make check` for environments without make.
+# module and for the benchmark module under perfbench/. Mirrors
+# `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,4 +11,6 @@ echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
 go test -race ./...
+echo "== perfbench: go vet, go build, go test -race"
+(cd perfbench && go vet ./... && go build ./... && go test -race ./...)
 echo "check: OK"
