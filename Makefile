@@ -1,12 +1,14 @@
 # Developer entry points. `make check` is the tier-1 verification going
-# forward: vet, build, and the full test suite under the race detector,
-# for this module and for the benchmark module under perfbench/.
+# forward: vet, build, the benchmark module under perfbench/ (vetted,
+# built and race-tested first, so a failing race test here cannot hide
+# an API change that breaks it), then the full test suite under the race
+# detector.
 
 GO ?= go
 
 .PHONY: check vet build test test-race perfbench-check bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
 
-check: vet build test-race perfbench-check
+check: vet build perfbench-check test-race
 
 vet:
 	$(GO) vet ./...

@@ -694,8 +694,8 @@ func BenchmarkDetectDay(b *testing.B) {
 	de := &benchfmt.DayEngine{}
 	b.Run("id", func(b *testing.B) {
 		de.IDNsOp, de.IDAllocsOp = benchLoop(b, func() {
-			det := core.DetectDay(tmp, "com", quietDay, refs)
-			if det.DomainsMeasured == 0 {
+			det, err := core.Detect(tmp, core.Partition{Source: "com", Day: quietDay}, refs)
+			if err != nil || det.DomainsMeasured == 0 {
 				b.Fatal("nothing measured")
 			}
 		})
@@ -817,7 +817,7 @@ func writeDetectBench(b *testing.B) {
 
 // BenchmarkFollowApply is the live-follower headroom benchmark: folding
 // one freshly committed day into an 11-day serving index via the delta
-// path (core.DetectDay on the new partitions + api.Index.Apply) against
+// path (core.Detect on the new partitions + api.Index.Apply) against
 // the full rebuild (api.NewIndex over the combined store) that the
 // follower replaces. The acceptance floor is 10x: a day must land at
 // least an order of magnitude cheaper than a cold rebuild, or live
@@ -862,11 +862,11 @@ func BenchmarkFollowApply(b *testing.B) {
 		doc.ApplyNsOp, doc.ApplyAllocsOp = benchLoop(b, func() {
 			ups := make([]api.PartitionUpdate, 0, len(deltaParts))
 			for _, part := range deltaParts {
-				ups = append(ups, api.PartitionUpdate{
-					Source: part.Source,
-					Day:    part.Day,
-					Det:    core.DetectDay(deltaStore, part.Source, part.Day, refs),
-				})
+				det, err := core.Detect(deltaStore, part, refs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ups = append(ups, api.PartitionUpdate{Source: part.Source, Day: part.Day, Det: det})
 			}
 			next, delta := baseIdx.Apply(ups)
 			if len(next.Days()) != baseDays+1 || delta == nil {

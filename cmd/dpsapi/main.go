@@ -123,7 +123,7 @@ func main() {
 				log.Warn("index built degraded; unreadable partitions skipped",
 					"path", *data, "skipped", len(ibe.Failed), "detail", ibe.Error())
 				for _, pf := range ibe.Failed {
-					failed[store.PartitionKey{Source: pf.Source, Day: pf.Day}] = true
+					failed[pf.Partition] = true
 				}
 			} else if berr != nil {
 				fatal(berr)

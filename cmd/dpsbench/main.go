@@ -222,7 +222,7 @@ func dayEngine(s *store.Store, pt core.Partition, refs *core.References, minTime
 		return float64(elapsed.Nanoseconds()) / n, float64(ms1.Mallocs-ms0.Mallocs) / n
 	}
 	de := &benchfmt.DayEngine{}
-	de.IDNsOp, de.IDAllocsOp = timeIt(func() { core.DetectDay(s, pt.Source, pt.Day, refs) })
+	de.IDNsOp, de.IDAllocsOp = timeIt(func() { core.Detect(s, pt, refs) })
 	de.BaselineNsOp, de.BaselineAllocsOp = timeIt(func() { core.DetectDayBaseline(s, pt.Source, pt.Day, refs) })
 	if de.IDNsOp > 0 {
 		de.SpeedupX = de.BaselineNsOp / de.IDNsOp

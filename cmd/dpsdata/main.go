@@ -196,10 +196,6 @@ func dumpPartition(r *store.Reader, spec string, limit int) error {
 	if err != nil {
 		return err
 	}
-	dict, err := r.SharedDict()
-	if err != nil {
-		return err
-	}
 	b, release, err := r.AcquireBatch(source, day)
 	if err != nil {
 		return err
@@ -210,7 +206,7 @@ func dumpPartition(r *store.Reader, spec string, limit int) error {
 		n = limit
 	}
 	for i := 0; i < n; i++ {
-		printRow(b.Row(i, dict))
+		printRow(b.Row(i, b.Dict))
 	}
 	return nil
 }
@@ -219,8 +215,8 @@ func dumpPartition(r *store.Reader, spec string, limit int) error {
 // acquire → detect → release, never holding more than one decoded day.
 func detectStreaming(r *store.Reader) error {
 	refs := core.MustGroundTruth()
-	for _, pt := range core.ReaderPartitions(r) {
-		det, err := core.DetectPartition(r, pt.Source, pt.Day, refs)
+	for _, pt := range r.Keys() {
+		det, err := core.Detect(r, pt, refs)
 		if err != nil {
 			return err
 		}

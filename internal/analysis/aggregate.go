@@ -43,7 +43,7 @@ func (p *presence) add(day simtime.Day) {
 }
 
 // Aggregator folds per-day detections into the aggregates. Feed days in
-// ascending order per source via AddDay (or use Run).
+// ascending order per source via AddDetections (or use Run).
 type Aggregator struct {
 	Refs  *core.References
 	Store *store.Store
@@ -81,11 +81,6 @@ func NewAggregator(refs *core.References, s *store.Store, trackSources []string)
 		a.trackSources[s] = true
 	}
 	return a
-}
-
-// AddDay detects and folds one (source, day) partition.
-func (a *Aggregator) AddDay(source string, day simtime.Day) error {
-	return a.AddDetections(core.DetectDay(a.Store, source, day, a.Refs))
 }
 
 // AddDetections folds one partition's precomputed detections — the hook
@@ -158,7 +153,7 @@ func (a *Aggregator) Run(sources []string) error {
 }
 
 // DetectStats returns the stage-timing summary accumulated over Run
-// calls (zero if detection was fed through AddDay/AddDetections).
+// calls (zero if detection was fed through AddDetections).
 func (a *Aggregator) DetectStats() core.RangeStats { return a.detectStats }
 
 // Days returns the aggregated days for a source, sorted.

@@ -107,10 +107,17 @@ func TestAddDayOrderEnforced(t *testing.T) {
 	refs := oneProviderRefs(t)
 	s := syntheticStore(t)
 	a := NewAggregator(refs, s, nil)
-	if err := a.AddDay("com", 5); err != nil {
+	add := func(day simtime.Day) error {
+		det, err := core.Detect(s, core.Partition{Source: "com", Day: day}, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.AddDetections(det)
+	}
+	if err := add(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddDay("com", 4); err == nil {
+	if err := add(4); err == nil {
 		t.Error("out-of-order day accepted")
 	}
 }

@@ -86,11 +86,17 @@ func (a *Aggregator) Attribute(sources []string, p int, day simtime.Day) Attribu
 
 	prev := make(map[string]bool)
 	cur := make(map[string]bool)
+	collect := func(src string, d simtime.Day, set map[string]bool) {
+		// A resident store never fails a detect; a missing day is empty.
+		det, err := core.Detect(a.Store, core.Partition{Source: src, Day: d}, a.Refs)
+		if err != nil {
+			return
+		}
+		det.EachUse(p, func(id uint32, _ core.Method) { set[det.DomainName(id)] = true })
+	}
 	for _, src := range sources {
-		dp := core.DetectDay(a.Store, src, prevDay, a.Refs)
-		dp.EachUse(p, func(id uint32, _ core.Method) { prev[dp.DomainName(id)] = true })
-		dc := core.DetectDay(a.Store, src, day, a.Refs)
-		dc.EachUse(p, func(id uint32, _ core.Method) { cur[dc.DomainName(id)] = true })
+		collect(src, prevDay, prev)
+		collect(src, day, cur)
 	}
 	changed := make(map[string]bool)
 	for dom := range cur {

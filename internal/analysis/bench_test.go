@@ -77,14 +77,18 @@ func TestDespikeBeatsPlainMedian(t *testing.T) {
 	}
 }
 
-func BenchmarkAggregatorAddDay(b *testing.B) {
+func BenchmarkAggregatorAddDetections(b *testing.B) {
 	refs := mustRefs(b)
 	s := bigSynthStore(2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := NewAggregator(refs, s, []string{"com"})
-		if err := a.AddDay("com", 1); err != nil {
+		det, err := core.Detect(s, core.Partition{Source: "com", Day: 1}, refs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.AddDetections(det); err != nil {
 			b.Fatal(err)
 		}
 	}

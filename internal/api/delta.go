@@ -1,8 +1,9 @@
 package api
 
-// Incremental index maintenance. A running dpsapi must fold a freshly
-// committed (source, day) partition into its serving state without
-// rebuilding the whole index: Apply takes the partition's already-run
+// The index's one fold. Every (source, day) partition reaches an Index
+// through fold: the boot build folds day-ordered chunks into an empty
+// index in place, and a running dpsapi folds a freshly committed
+// partition through Apply, which takes the partition's already-run
 // detections and produces a NEW Index sharing everything the delta does
 // not touch (copy-on-write), plus a Delta describing exactly which
 // days and domains changed so the response cache can be invalidated
@@ -11,13 +12,13 @@ package api
 //
 // Three shapes of update exist, in decreasing frequency:
 //
-//   - pure append: the new day is after every indexed day (the daily
-//     crawl case). Columns grow by one slot; only detected domains are
-//     repacked.
+//   - pure append: the new days are after every indexed day (the daily
+//     crawl case, and every chunk of the boot build). Columns grow by
+//     the new slots; detected domains' runs extend in place.
 //   - same-day merge: another source commits an already-indexed day.
 //     Day counts grow by the genuinely new (domain, provider) pairs —
-//     membership is checked against the old interval lists, mirroring
-//     the "count once per day across sources" rule of the full build.
+//     membership is checked against the old interval lists, so a
+//     domain counts once per day across sources.
 //   - backfill: a day lands between already-indexed days. Besides the
 //     detected domains, every domain whose packed interval spans the
 //     inserted day must be repacked (its run is no longer a run of
@@ -26,18 +27,20 @@ package api
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
-	"dpsadopt/internal/analysis"
 	"dpsadopt/internal/core"
 	"dpsadopt/internal/simtime"
 )
 
-// PartitionUpdate is one committed (source, day) partition's detection
-// result, ready to fold into an index. Det must have been built with
-// the same *core.References the index was, but may come from any store
-// dictionary (the spool's own): Apply consumes it at the string edge.
+// PartitionUpdate is one (source, day) partition's detection result,
+// ready to fold into an index. Det must have been built with the same
+// *core.References the index was, but may come from any store dictionary
+// (the spool's own): the fold consumes it at the string edge. A nil Det
+// marks a partition that could not be read: its source and day join the
+// axes with no data, and it does not count as indexed.
 type PartitionUpdate struct {
 	Source string
 	Day    simtime.Day
@@ -62,20 +65,51 @@ func (x *Index) Apply(batch []PartitionUpdate) (*Index, *Delta) {
 		return x, nil
 	}
 	start := time.Now()
+	nd := x.clone()
+	nd.epoch++
+	delta := nd.fold(batch, true)
+	delta.Epoch = nd.epoch
+	nd.buildTime = time.Since(start)
+	mIndexDomains.Set(float64(len(nd.domains)))
+	mIndexDays.Set(float64(len(nd.days)))
+	return nd, delta
+}
+
+// clone is the copy-on-write step of Apply: the new index owns its
+// columns and domain map, while interval lists stay shared with x until
+// the fold replaces them. The sources and days slices are clipped, so
+// growing them reallocates instead of writing into x's arrays.
+func (x *Index) clone() *Index {
+	nd := *x
+	nd.sources = slices.Clip(x.sources)
+	nd.days = slices.Clip(x.days)
+	nd.domains = maps.Clone(x.domains)
+	nd.series = make([][]int64, len(x.series))
+	for p := range x.series {
+		nd.series[p] = slices.Clone(x.series[p])
+	}
+	nd.measured = slices.Clone(x.measured)
+	nd.anyUse = slices.Clone(x.anyUse)
+	return &nd
+}
+
+// fold merges a batch of partition updates into x in place and reports
+// what changed. It is the only code that writes the index's day axis,
+// columns and domain map: Apply runs it once on a fresh clone, the build
+// once per day on the index under construction. shared says the
+// interval lists may still belong to another index, so a list that is
+// extended in place is copied first.
+func (x *Index) fold(batch []PartitionUpdate, shared bool) *Delta {
 	np := x.refs.NumProviders()
 
-	// Merge updates day by day at the string edge: each Det resolves
-	// its own dictionary, exactly as the full build merges sources.
+	// Merge updates day by day at the string edge: each Det resolves its
+	// own dictionary, and a domain counts once per day across sources.
 	byDay := make(map[simtime.Day][]map[string]core.Method)
 	measuredAdd := make(map[simtime.Day]int64)
-	srcSet := make(map[string]bool, len(x.sources))
-	for _, s := range x.sources {
-		srcSet[s] = true
-	}
+	delta := &Delta{Domains: make(map[string]bool)}
 	for _, u := range batch {
-		if u.Det.NumProviders() != np {
-			panic(fmt.Sprintf("api: Apply update %s/%s built with %d providers, index has %d",
-				u.Source, u.Day, u.Det.NumProviders(), np))
+		if i, ok := slices.BinarySearch(x.sources, u.Source); !ok {
+			x.sources = slices.Insert(x.sources, i, u.Source)
 		}
 		merged := byDay[u.Day]
 		if merged == nil {
@@ -85,125 +119,101 @@ func (x *Index) Apply(batch []PartitionUpdate) (*Index, *Delta) {
 			}
 			byDay[u.Day] = merged
 		}
+		if u.Det == nil {
+			continue
+		}
+		if u.Det.NumProviders() != np {
+			panic(fmt.Sprintf("api: update %s/%s built with %d providers, index has %d",
+				u.Source, u.Day, u.Det.NumProviders(), np))
+		}
 		for p := 0; p < np; p++ {
 			u.Det.MergeAny(p, merged[p])
 		}
 		measuredAdd[u.Day] += int64(u.Det.DomainsMeasured)
-		srcSet[u.Source] = true
+		delta.Applied++
 	}
+	x.partitions += delta.Applied
 
-	delta := &Delta{
-		Epoch:   x.epoch + 1,
-		Applied: len(batch),
-		Domains: make(map[string]bool),
-	}
+	oldDays := x.days
 	for d := range byDay {
 		delta.Days = append(delta.Days, d)
-		if _, ok := x.dayPos[d]; !ok {
+		if _, ok := slices.BinarySearch(oldDays, d); !ok {
 			delta.NewDays = append(delta.NewDays, d)
 		}
 	}
-	sort.Slice(delta.Days, func(i, j int) bool { return delta.Days[i] < delta.Days[j] })
-	sort.Slice(delta.NewDays, func(i, j int) bool { return delta.NewDays[i] < delta.NewDays[j] })
-
-	nd := &Index{
-		refs:        x.refs,
-		partitions:  x.partitions + len(batch),
-		epoch:       x.epoch + 1,
-		detectStats: x.detectStats,
-	}
-	nd.sources = make([]string, 0, len(srcSet))
-	for s := range srcSet {
-		nd.sources = append(nd.sources, s)
-	}
-	sort.Strings(nd.sources)
-
-	// Day axis: splice new days in, remembering each new position's old
-	// counterpart (-1 for inserted days) for the column copy below.
-	if len(delta.NewDays) == 0 {
-		nd.days, nd.dayPos = x.days, x.dayPos
-	} else {
-		nd.days = make([]simtime.Day, 0, len(x.days)+len(delta.NewDays))
-		nd.days = append(nd.days, x.days...)
-		nd.days = append(nd.days, delta.NewDays...)
-		sort.Slice(nd.days, func(i, j int) bool { return nd.days[i] < nd.days[j] })
-		nd.dayPos = make(map[simtime.Day]int, len(nd.days))
-		for i, d := range nd.days {
-			nd.dayPos[d] = i
-		}
-	}
-	oldPosOf := make([]int, len(nd.days))
-	for i, d := range nd.days {
-		if op, ok := x.dayPos[d]; ok {
-			oldPosOf[i] = op
-		} else {
-			oldPosOf[i] = -1
-		}
-	}
-	copyCol := func(old []int64) []int64 {
-		out := make([]int64, len(nd.days))
-		for i, op := range oldPosOf {
-			if op >= 0 {
-				out[i] = old[op]
-			}
-		}
-		return out
-	}
-	nd.measured = copyCol(x.measured)
-	nd.anyUse = copyCol(x.anyUse)
-	nd.series = make([][]int64, np)
-	for p := 0; p < np; p++ {
-		nd.series[p] = copyCol(x.series[p])
+	slices.Sort(delta.Days)
+	slices.Sort(delta.NewDays)
+	// The daily-crawl shape — every touched day new and after the whole
+	// old axis — leaves the old packing valid: runs just extend, in O(new
+	// detections). Anything else repacks the touched domains.
+	appendOnly := len(delta.Days) == len(delta.NewDays) &&
+		(len(oldDays) == 0 || delta.NewDays[0] > oldDays[len(oldDays)-1])
+	// The touched-domain set drives cache invalidation, the copy of
+	// shared lists and the repack. An append onto lists the fold owns —
+	// every day of the boot build, whose delta nobody reads — needs none
+	// of them, so it skips the set.
+	track := shared || !appendOnly
+	if len(delta.NewDays) > 0 {
+		x.spliceDays(delta.NewDays)
 	}
 
-	// Fold the day aggregates and collect per-domain new detections.
-	// For an already-indexed day only genuinely new (domain, provider)
-	// pairs bump the counts: the old interval list is the membership
-	// oracle (every measured day inside a packed run is a detection).
-	perDomain := make(map[string]map[simtime.Day][]core.Method)
+	// Fold the day aggregates. For an already-indexed day only genuinely
+	// new (domain, provider) pairs bump the counts: the interval lists,
+	// not yet touched by this fold, are the membership oracle (every
+	// indexed day inside a packed run is a detection).
 	for day, merged := range byDay {
-		di := nd.dayPos[day]
-		dayIsNew := oldPosOf[di] < 0
+		di, _ := x.dayIndex(day)
+		_, dayIsNew := slices.BinarySearch(delta.NewDays, day)
 		anyDom := make(map[string]bool)
 		for p := 0; p < np; p++ {
 			added := int64(0)
-			for dom, m := range merged[p] {
-				delta.Domains[dom] = true
+			for dom := range merged[p] {
 				anyDom[dom] = true
-				pd := perDomain[dom]
-				if pd == nil {
-					pd = make(map[simtime.Day][]core.Method)
-					perDomain[dom] = pd
-				}
-				pm := pd[day]
-				if pm == nil {
-					pm = make([]core.Method, np)
-					pd[day] = pm
-				}
-				pm[p] |= m
 				if dayIsNew || !x.detectedOn(dom, p, day) {
 					added++
 				}
 			}
-			nd.series[p][di] += added
+			x.series[p][di] += added
 		}
 		for dom := range anyDom {
-			if dayIsNew || !x.detectedAnyOn(dom, day) {
-				nd.anyUse[di]++
+			if track {
+				delta.Domains[dom] = true
+			}
+			if dayIsNew || !x.detectedOn(dom, -1, day) {
+				x.anyUse[di]++
 			}
 		}
-		nd.measured[di] += measuredAdd[day]
+		x.measured[di] += measuredAdd[day]
+	}
+
+	if appendOnly {
+		if shared {
+			for dom := range delta.Domains {
+				x.domains[dom] = slices.Clone(x.domains[dom])
+			}
+		}
+		prev := simtime.Day(-1 << 30)
+		if len(oldDays) > 0 {
+			prev = oldDays[len(oldDays)-1]
+		}
+		for _, day := range delta.NewDays {
+			for p, uses := range byDay[day] {
+				for dom, m := range uses {
+					x.domains[dom] = appendDetection(x.domains[dom], p, m, day, prev)
+				}
+			}
+			prev = day
+		}
+		return delta
 	}
 
 	// A backfilled day severs the measured-day adjacency of every packed
-	// run that spans it: those domains must repack even without new
+	// run that spans it: those domains repack even without new
 	// detections (their histories now show a gap on the inserted day).
 	var mid []int32
-	if len(x.days) > 0 {
-		for _, d := range delta.NewDays {
-			if d > x.days[0] && d < x.days[len(x.days)-1] {
-				mid = append(mid, int32(d))
-			}
+	for _, d := range delta.NewDays {
+		if len(oldDays) > 0 && d > oldDays[0] && d < oldDays[len(oldDays)-1] {
+			mid = append(mid, int32(d))
 		}
 	}
 	if len(mid) > 0 {
@@ -222,139 +232,108 @@ func (x *Index) Apply(batch []PartitionUpdate) (*Index, *Delta) {
 			}
 		}
 	}
-
-	// Copy-on-write domain map: untouched domains share their interval
-	// slices with the old index; touched ones are exploded against the
-	// OLD day axis, overlaid with the new detections, and repacked
-	// against the NEW one. The daily-crawl case — every touched day new
-	// and after the whole old axis — skips the O(history) explode: no
-	// existing day's detections changed, so the old packing stays valid
-	// and the new days extend a copy of it in O(intervals + new days).
-	appendOnly := len(delta.Days) == len(delta.NewDays) &&
-		(len(x.days) == 0 || delta.NewDays[0] > x.days[len(x.days)-1])
-	nd.domains = make(map[string][]interval, len(x.domains)+len(delta.Domains))
-	for dom, ivs := range x.domains {
-		nd.domains[dom] = ivs
-	}
 	for dom := range delta.Domains {
-		if appendOnly {
-			nd.domains[dom] = x.appendDomain(dom, perDomain[dom], delta.NewDays)
-		} else {
-			nd.domains[dom] = x.repackDomain(nd, dom, perDomain[dom])
-		}
+		x.domains[dom] = x.repack(x.domains[dom], oldDays, byDay, dom)
 	}
-
-	// Smoothing is global over each provider's series, so it recomputes
-	// wholesale — O(providers × days), trivial next to detection.
-	nd.smoothed = make([][]float64, np)
-	for p := 0; p < np; p++ {
-		raw := make([]float64, len(nd.series[p]))
-		for i, v := range nd.series[p] {
-			raw[i] = float64(v)
-		}
-		nd.smoothed[p] = analysis.Smooth(raw)
-	}
-
-	nd.buildTime = time.Since(start)
-	mIndexDomains.Set(float64(len(nd.domains)))
-	mIndexDays.Set(float64(len(nd.days)))
-	return nd, delta
+	return delta
 }
 
-// detectedOn reports whether the old index already counts (dom, p) as
-// detected on day d. Valid only for indexed days: interval packing
-// guarantees every measured day inside [first, last] is a detection.
+// spliceDays puts new days on the axis and grows every column to match.
+// Days after the whole axis append; a backfill merges the two sorted
+// axes and re-lays each column around the inserted slots.
+func (x *Index) spliceDays(add []simtime.Day) {
+	old := x.days
+	if len(old) == 0 || add[0] > old[len(old)-1] {
+		x.days = append(x.days, add...)
+		for p := range x.series {
+			x.series[p] = append(x.series[p], make([]int64, len(add))...)
+		}
+		x.measured = append(x.measured, make([]int64, len(add))...)
+		x.anyUse = append(x.anyUse, make([]int64, len(add))...)
+		return
+	}
+	days := make([]simtime.Day, 0, len(old)+len(add))
+	from := make([]int, 0, len(old)+len(add)) // old position per slot, -1 if inserted
+	for i, j := 0, 0; i < len(old) || j < len(add); {
+		if j == len(add) || (i < len(old) && old[i] < add[j]) {
+			days, from = append(days, old[i]), append(from, i)
+			i++
+		} else {
+			days, from = append(days, add[j]), append(from, -1)
+			j++
+		}
+	}
+	relay := func(col []int64) []int64 {
+		out := make([]int64, len(days))
+		for i, op := range from {
+			if op >= 0 {
+				out[i] = col[op]
+			}
+		}
+		return out
+	}
+	x.days = days
+	for p := range x.series {
+		x.series[p] = relay(x.series[p])
+	}
+	x.measured = relay(x.measured)
+	x.anyUse = relay(x.anyUse)
+}
+
+// detectedOn reports whether the interval lists already count dom as
+// detected toward provider p (any provider when p < 0) on day d. Valid
+// only for days already on the axis before the fold: interval packing
+// guarantees every such day inside [first, last] is a detection.
 func (x *Index) detectedOn(dom string, p int, d simtime.Day) bool {
 	for _, iv := range x.domains[dom] {
-		if int(iv.provider) == p && iv.first <= int32(d) && int32(d) <= iv.last {
+		if (p < 0 || int(iv.provider) == p) && iv.first <= int32(d) && int32(d) <= iv.last {
 			return true
 		}
 	}
 	return false
 }
 
-// detectedAnyOn is detectedOn for "any provider".
-func (x *Index) detectedAnyOn(dom string, d simtime.Day) bool {
-	for _, iv := range x.domains[dom] {
-		if iv.first <= int32(d) && int32(d) <= iv.last {
-			return true
-		}
-	}
-	return false
-}
-
-// appendDomain is repackDomain's append-only fast path: every touched
-// day is new and after the old day axis, so the old packing is reused
-// verbatim (copied — appendDetection may extend the last interval in
-// place, and the old index must stay readable) and only the new tail is
-// packed. prev threads through ALL new days, detections or not, so a
-// skipped day severs runs exactly as the full build would.
-func (x *Index) appendDomain(dom string, add map[simtime.Day][]core.Method, newDays []simtime.Day) []interval {
-	old := x.domains[dom]
-	ivs := make([]interval, len(old), len(old)+len(newDays))
-	copy(ivs, old)
-	prev := simtime.Day(-1 << 30)
-	if len(x.days) > 0 {
-		prev = x.days[len(x.days)-1]
-	}
-	np := x.refs.NumProviders()
-	for _, day := range newDays {
-		if pm := add[day]; pm != nil {
-			for p := 0; p < np; p++ {
-				if pm[p] != 0 {
-					ivs = appendDetection(ivs, p, pm[p], day, prev)
-				}
-			}
-		}
-		prev = day
-	}
-	return ivs
-}
-
-// repackDomain rebuilds one domain's interval list: the old intervals
-// are exploded into per-day detections against the old day axis, the
-// new detections (nil for pure spanners) are OR-ed in, and the result
-// is packed against the new day axis — byte-identical to what a full
-// build over the union data would produce.
-func (x *Index) repackDomain(nd *Index, dom string, add map[simtime.Day][]core.Method) []interval {
+// repack rebuilds one domain's interval list: the old intervals are
+// exploded into per-day detections against the old day axis, the
+// batch's detections of dom are OR-ed in, and the result is packed
+// against the current axis — exactly what folding the union data in day
+// order would produce. The result is a fresh slice, never ivs.
+func (x *Index) repack(ivs []interval, oldDays []simtime.Day, byDay map[simtime.Day][]map[string]core.Method, dom string) []interval {
 	np := x.refs.NumProviders()
 	det := make(map[simtime.Day][]core.Method)
-	for _, iv := range x.domains[dom] {
-		for d := iv.first; d <= iv.last; d++ {
-			day := simtime.Day(d)
-			if _, ok := x.dayPos[day]; !ok {
-				continue
-			}
-			pm := det[day]
-			if pm == nil {
-				pm = make([]core.Method, np)
-				det[day] = pm
-			}
-			pm[iv.provider] |= iv.methods
-		}
-	}
-	for day, apm := range add {
+	at := func(day simtime.Day) []core.Method {
 		pm := det[day]
 		if pm == nil {
 			pm = make([]core.Method, np)
 			det[day] = pm
 		}
-		for p, m := range apm {
-			pm[p] |= m
+		return pm
+	}
+	for _, iv := range ivs {
+		lo, hi := axisSpan(oldDays, iv.first, iv.last)
+		for _, day := range oldDays[lo:hi] {
+			at(day)[iv.provider] |= iv.methods
+		}
+	}
+	for day, merged := range byDay {
+		for p, uses := range merged {
+			if m, ok := uses[dom]; ok {
+				at(day)[p] |= m
+			}
 		}
 	}
 
-	var ivs []interval
+	var out []interval
 	prev := simtime.Day(-1 << 30)
-	for _, day := range nd.days {
+	for _, day := range x.days {
 		if pm := det[day]; pm != nil {
-			for p := 0; p < np; p++ {
-				if pm[p] != 0 {
-					ivs = appendDetection(ivs, p, pm[p], day, prev)
+			for p, m := range pm {
+				if m != 0 {
+					out = appendDetection(out, p, m, day, prev)
 				}
 			}
 		}
 		prev = day
 	}
-	return ivs
+	return out
 }

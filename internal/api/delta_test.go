@@ -72,11 +72,11 @@ func buildBoth(t *testing.T, refs *core.References, parts []partKey) (*store.Sto
 	for _, pk := range parts {
 		spool := synthPart(t, refs, pk.src, pk.day)
 		all.Absorb(spool)
-		ups = append(ups, PartitionUpdate{
-			Source: pk.src,
-			Day:    pk.day,
-			Det:    core.DetectDay(spool, pk.src, pk.day, refs),
-		})
+		det, err := core.Detect(spool, core.Partition{Source: pk.src, Day: pk.day}, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ups = append(ups, PartitionUpdate{Source: pk.src, Day: pk.day, Det: det})
 	}
 	return all, ups
 }
@@ -100,9 +100,6 @@ func assertIndexEqual(t *testing.T, want, got *Index) {
 	}
 	if !reflect.DeepEqual(want.series, got.series) {
 		t.Fatalf("series: want %v got %v", want.series, got.series)
-	}
-	if !reflect.DeepEqual(want.smoothed, got.smoothed) {
-		t.Fatalf("smoothed differ")
 	}
 	if want.partitions != got.partitions {
 		t.Fatalf("partitions: want %d got %d", want.partitions, got.partitions)

@@ -21,7 +21,7 @@ import (
 
 // TestEndToEnd is the full loop the binaries perform: measure a small
 // world (direct mode), save the .dpsa archive, reload it, serve it, and
-// cross-check every API answer against core.DetectDay run independently
+// cross-check every API answer against core.Detect run independently
 // on the reloaded store.
 func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -80,7 +80,10 @@ func TestEndToEnd(t *testing.T) {
 			dt.perProv[p] = make(map[string]core.Method)
 		}
 		for _, src := range s.Sources() {
-			det := core.DetectDay(s, src, day, refs)
+			det, err := core.Detect(s, core.Partition{Source: src, Day: day}, refs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			dt.measured += int64(det.DomainsMeasured)
 			for p := 0; p < np; p++ {
 				det.MergeAny(p, dt.perProv[p])

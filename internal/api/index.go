@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -27,24 +28,21 @@ type interval struct {
 	last     int32  // simtime.Day, inclusive
 }
 
-// Index is the read-optimized view of a loaded dataset: the detection
-// pass (core.DetectDay) runs once per partition at build time, and every
-// request is then answered from inverted structures — domain → packed
-// interval list, provider → daily series — without touching the columnar
-// store again. The index is immutable after Build, so readers need no
-// locks.
+// Index is the read-optimized view of a loaded dataset: detection runs
+// once per partition at build time, and every request is then answered
+// from inverted structures — domain → packed interval list, provider →
+// daily series — without touching the columnar store again. The index is
+// immutable once built or applied, so readers need no locks.
 type Index struct {
 	refs    *core.References
 	sources []string
 	days    []simtime.Day // sorted union over sources
-	dayPos  map[simtime.Day]int
 
 	domains map[string][]interval // domain → intervals in day order
 
-	series   [][]int64   // [provider][dayIdx] distinct domains using p
-	smoothed [][]float64 // §4.2-smoothed counterpart of series
-	measured []int64     // [dayIdx] domains with any stored row (summed over sources)
-	anyUse   []int64     // [dayIdx] distinct domains using at least one provider
+	series   [][]int64 // [provider][dayIdx] distinct domains using p
+	measured []int64   // [dayIdx] domains with any stored row (summed over sources)
+	anyUse   []int64   // [dayIdx] distinct domains using at least one provider
 
 	partitions  int
 	epoch       uint64 // bumped by every Apply; 0 for a fresh build
@@ -55,9 +53,6 @@ type Index struct {
 // NewIndex builds the index from a store by running detection over every
 // (source, day) partition and merging sources per day (a domain counted
 // once per day regardless of how many lists contain it, as §4.1 counts).
-// Detection fans out across partitions via core.DetectRangeStats — the
-// build folds one shared parallel pass instead of walking partitions
-// sequentially.
 func NewIndex(s *store.Store, refs *core.References) *Index {
 	x, _ := buildIndex(s, core.Partitions(s), refs)
 	return x
@@ -78,136 +73,74 @@ func (e *IndexBuildError) Error() string {
 // NewIndexReader builds the index out-of-core from a streaming
 // *store.Reader: detection workers acquire → detect → release each
 // partition, so peak memory is O(workers × largest partition), not the
-// dataset. Unreadable partitions degrade the index (their days are
-// simply missing data) and come back in an *IndexBuildError alongside
-// the still-usable Index.
+// dataset. Unreadable partitions degrade the index (their days stay on
+// the axis, simply missing data) and come back in an *IndexBuildError
+// alongside the still-usable Index.
 func NewIndexReader(r *store.Reader, refs *core.References) (*Index, error) {
-	x, failed := buildIndex(r, core.ReaderPartitions(r), refs)
+	x, failed := buildIndex(r, r.Keys(), refs)
 	if len(failed) > 0 {
 		return x, &IndexBuildError{Failed: failed}
 	}
 	return x, nil
 }
 
-// buildIndex is the shared build: the partition list (sorted
-// (source, day), from Partitions or the Reader's directory) defines the
-// universe; sources and the day axis derive from it, detection runs via
-// core.DetectRangeStats, and the fold consumes results day-major.
+// buildIndex is Apply from an empty index, one chunk of days at a time.
+// The partition list defines the universe: every listed partition puts
+// its source and day on the axes, even one that fails to read. Each
+// chunk fans out across the DetectRangeStats pool and folds in place,
+// a day at a time, before the next chunk decodes, so the build's
+// transient detections are O(chunk), never O(dataset); chunks are sized
+// so each still saturates the pool. Days arrive in order, so every fold
+// is a pure append.
 func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.References) (*Index, []core.PartitionFailure) {
 	start := time.Now()
-	np := refs.NumProviders()
 	x := &Index{
 		refs:    refs,
-		dayPos:  make(map[simtime.Day]int),
+		series:  make([][]int64, refs.NumProviders()),
 		domains: make(map[string][]interval),
 	}
-	srcSet := make(map[string]bool)
-	daySet := make(map[simtime.Day]bool)
-	for _, pt := range universe {
-		if !srcSet[pt.Source] {
-			srcSet[pt.Source] = true
-			x.sources = append(x.sources, pt.Source)
+	parts := append([]core.Partition(nil), universe...)
+	sort.Slice(parts, func(i, j int) bool {
+		if parts[i].Day != parts[j].Day {
+			return parts[i].Day < parts[j].Day
 		}
-		daySet[pt.Day] = true
+		return parts[i].Source < parts[j].Source
+	})
+	sources := make(map[string]bool)
+	for _, pt := range parts {
+		sources[pt.Source] = true
 	}
-	sort.Strings(x.sources)
-	x.days = make([]simtime.Day, 0, len(daySet))
-	for d := range daySet {
-		x.days = append(x.days, d)
-	}
-	sort.Slice(x.days, func(i, j int) bool { return x.days[i] < x.days[j] })
-	for i, d := range x.days {
-		x.dayPos[d] = i
-	}
-
-	x.series = make([][]int64, np)
-	for p := range x.series {
-		x.series[p] = make([]int64, len(x.days))
-	}
-	x.measured = make([]int64, len(x.days))
-	x.anyUse = make([]int64, len(x.days))
-
-	// Day-major partition order keeps each day's detections contiguous,
-	// so the fold below consumes the parallel results with one cursor.
-	bySrcDay := make(map[core.Partition]bool, len(universe))
-	for _, pt := range universe {
-		bySrcDay[pt] = true
-	}
-	var parts []core.Partition
-	for _, day := range x.days {
-		for _, src := range x.sources {
-			if bySrcDay[core.Partition{Source: src, Day: day}] {
-				parts = append(parts, core.Partition{Source: src, Day: day})
-			}
-		}
-	}
-	// Detection runs in day chunks: each chunk fans out across the worker
-	// pool, folds, and lets its DayDetections go before the next chunk
-	// decodes. Holding every partition's detections until one global
-	// barrier would put an O(dataset) term back into the streaming
-	// build's peak; chunks are sized so each still saturates the pool.
-	workers := runtime.GOMAXPROCS(0)
 	chunkDays := 2
-	if len(x.sources) > 0 {
-		if need := (2*workers + len(x.sources) - 1) / len(x.sources); need > chunkDays {
+	if len(sources) > 0 {
+		if need := (2*runtime.GOMAXPROCS(0) + len(sources) - 1) / len(sources); need > chunkDays {
 			chunkDays = need
 		}
 	}
-	merged := make([]map[string]core.Method, np)
-	pi := 0
-	for ci := 0; ci < len(x.days); ci += chunkDays {
-		cend := ci + chunkDays
-		if cend > len(x.days) {
-			cend = len(x.days)
+	var ups []PartitionUpdate
+	for lo := 0; lo < len(parts); {
+		// The chunk is the partitions of the next chunkDays days.
+		hi := lo
+		for days := 0; hi < len(parts); hi++ {
+			if hi == lo || parts[hi].Day != parts[hi-1].Day {
+				if days++; days > chunkDays {
+					break
+				}
+			}
 		}
-		pstart := pi
-		for pi < len(parts) && x.dayPos[parts[pi].Day] < cend {
-			pi++
-		}
-		chunk := parts[pstart:pi]
+		chunk := parts[lo:hi]
 		dets, rst := core.DetectRangeStats(context.Background(), src, chunk, refs, 0)
 		x.detectStats.Add(rst)
-		ck := 0 // cursor into chunk/dets
-		for di := ci; di < cend; di++ {
-			day := x.days[di]
-			for p := range merged {
-				merged[p] = make(map[string]core.Method)
+		// Fold day by day, letting each day's detections go once folded.
+		for i := 0; i < len(chunk); {
+			ups = ups[:0]
+			for day := chunk[i].Day; i < len(chunk) && chunk[i].Day == day; i++ {
+				ups = append(ups, PartitionUpdate{Source: chunk[i].Source, Day: day, Det: dets[i]})
+				dets[i] = nil
 			}
-			for ; ck < len(chunk) && chunk[ck].Day == day; ck++ {
-				det := dets[ck]
-				if det == nil { // unreadable partition: its slot is missing data
-					continue
-				}
-				x.measured[di] += int64(det.DomainsMeasured)
-				for p := 0; p < np; p++ {
-					det.MergeAny(p, merged[p])
-				}
-				dets[ck] = nil // folded: the packed arrays are free to go
-			}
-			prev := simtime.Day(-1 << 30)
-			if di > 0 {
-				prev = x.days[di-1]
-			}
-			anySet := make(map[string]bool)
-			for p := 0; p < np; p++ {
-				x.series[p][di] = int64(len(merged[p]))
-				for dom, m := range merged[p] {
-					anySet[dom] = true
-					x.addDay(dom, p, m, day, prev)
-				}
-			}
-			x.anyUse[di] = int64(len(anySet))
+			x.fold(ups, false)
+			clear(ups)
 		}
-	}
-	x.partitions = len(parts) - len(x.detectStats.Failed)
-
-	x.smoothed = make([][]float64, np)
-	for p := 0; p < np; p++ {
-		raw := make([]float64, len(x.series[p]))
-		for i, v := range x.series[p] {
-			raw[i] = float64(v)
-		}
-		x.smoothed[p] = analysis.Smooth(raw)
+		lo = hi
 	}
 
 	x.buildTime = time.Since(start)
@@ -217,18 +150,24 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 	return x, x.detectStats.Failed
 }
 
-// addDay folds one (domain, provider, methods) detection on day into the
-// domain's packed interval list. prev is the previous measured day: an
-// interval extends only across consecutive measured days with an
-// unchanged method set.
-func (x *Index) addDay(dom string, p int, m core.Method, day, prev simtime.Day) {
-	x.domains[dom] = appendDetection(x.domains[dom], p, m, day, prev)
+// dayIndex returns d's position on the day axis.
+func (x *Index) dayIndex(d simtime.Day) (int, bool) { return slices.BinarySearch(x.days, d) }
+
+// axisSpan returns the index range [lo, hi) of the days on a sorted axis
+// that fall within [first, last].
+func axisSpan(days []simtime.Day, first, last int32) (int, int) {
+	lo, _ := slices.BinarySearch(days, simtime.Day(first))
+	hi, found := slices.BinarySearch(days, simtime.Day(last))
+	if found {
+		hi++
+	}
+	return lo, hi
 }
 
-// appendDetection is the interval-packing step shared by the full build
-// and the delta repack: extend the provider's last interval if day is
-// the next consecutive measured day with the same methods, else start a
-// new interval.
+// appendDetection is the interval-packing step: extend the provider's
+// last interval if day is the next consecutive measured day (prev is the
+// previous day on the axis) with the same methods, else start a new
+// interval.
 func appendDetection(ivs []interval, p int, m core.Method, day, prev simtime.Day) []interval {
 	for i := len(ivs) - 1; i >= 0; i-- {
 		if int(ivs[i].provider) != p {
@@ -290,7 +229,7 @@ func (x *Index) Domain(name string) (DomainHistory, bool) {
 	union := make(map[int]core.Method)
 	var order []int
 	first, last := int32(1<<31-1), int32(-1<<31)
-	daySet := make(map[int32]bool)
+	daySet := make(map[simtime.Day]bool)
 	for _, iv := range ivs {
 		if iv.first < first {
 			first = iv.first
@@ -298,10 +237,9 @@ func (x *Index) Domain(name string) (DomainHistory, bool) {
 		if iv.last > last {
 			last = iv.last
 		}
-		for d := iv.first; d <= iv.last; d++ {
-			if _, ok := x.dayPos[simtime.Day(d)]; ok {
-				daySet[d] = true
-			}
+		lo, hi := axisSpan(x.days, iv.first, iv.last)
+		for _, d := range x.days[lo:hi] {
+			daySet[d] = true
 		}
 		p := int(iv.provider)
 		u := byProv[p]
@@ -347,7 +285,9 @@ type ProviderSeries struct {
 }
 
 // Series returns one provider's daily use counts (raw and §4.2-smoothed).
-// Provider names match case-insensitively.
+// Provider names match case-insensitively. Smoothing is global over the
+// series, so it runs here, on read; the response cache keeps the answer
+// for the index's epoch.
 func (x *Index) Series(name string) (ProviderSeries, bool) {
 	p := -1
 	for i := range x.refs.Providers {
@@ -363,13 +303,17 @@ func (x *Index) Series(name string) (ProviderSeries, bool) {
 		Provider: x.refs.Providers[p].Name,
 		Days:     make([]string, len(x.days)),
 		Raw:      append([]int64(nil), x.series[p]...),
-		Smoothed: append([]float64(nil), x.smoothed[p]...),
 	}
 	for i, d := range x.days {
 		out.Days[i] = d.String()
 	}
 	if len(x.days) > 0 {
 		out.FirstDay = x.days[0].String()
+		raw := make([]float64, len(out.Raw))
+		for i, v := range out.Raw {
+			raw[i] = float64(v)
+		}
+		out.Smoothed = analysis.Smooth(raw)
 	}
 	return out, true
 }
@@ -384,7 +328,7 @@ type DayInfo struct {
 
 // Day returns per-provider totals for one measured day.
 func (x *Index) Day(d simtime.Day) (DayInfo, bool) {
-	di, ok := x.dayPos[d]
+	di, ok := x.dayIndex(d)
 	if !ok {
 		return DayInfo{}, false
 	}

@@ -36,13 +36,8 @@ import (
 )
 
 // Partition is the unit of leased work: one source's zone snapshot on
-// one measurement day.
-type Partition struct {
-	Source string
-	Day    simtime.Day
-}
-
-func (p Partition) String() string { return fmt.Sprintf("%s/%s", p.Source, p.Day) }
+// one measurement day, keyed like every other (source, day) partition.
+type Partition = store.PartitionKey
 
 // WorkFunc measures one partition and returns its rows. attempt is
 // 1-based; retried partitions see an increasing attempt number.

@@ -157,7 +157,7 @@ func TestDetectDayFindsCustomers(t *testing.T) {
 	refs := MustGroundTruth()
 	day := quietDay
 	cf, _ := refs.ProviderIndex("CloudFlare")
-	det := DetectDay(s, "com", day, refs)
+	det := mustDetect(t, s, "com", day, refs)
 	if det.Count(cf) == 0 {
 		t.Fatal("no CloudFlare domains detected in .com")
 	}
@@ -217,7 +217,7 @@ func TestDetectMethodCombinations(t *testing.T) {
 	// CloudFlare: most customers are NS-delegated AND routed (NS+AS); the
 	// NS share must be large (≈75% per §4.3).
 	cf, _ := refs.ProviderIndex("CloudFlare")
-	det := DetectDay(s, "com", day, refs)
+	det := mustDetect(t, s, "com", day, refs)
 	total := det.Count(cf)
 	ns := det.CountMethod(cf, RefNS)
 	if total == 0 {
@@ -244,8 +244,8 @@ func TestDetectWixPeak(t *testing.T) {
 	_, s := measuredWorld(t)
 	refs := MustGroundTruth()
 	inc, _ := refs.ProviderIndex("Incapsula")
-	quiet := DetectDay(s, "com", quietDay, refs)
-	peak := DetectDay(s, "com", simtime.FromDate(2015, 3, 5), refs)
+	quiet := mustDetect(t, s, "com", quietDay, refs)
+	peak := mustDetect(t, s, "com", simtime.FromDate(2015, 3, 5), refs)
 	if peak.Count(inc) <= quiet.Count(inc)*3 {
 		t.Errorf("Incapsula peak %d vs quiet %d: anomaly missing", peak.Count(inc), quiet.Count(inc))
 	}
@@ -306,7 +306,7 @@ func TestDetectDayMatchesBaseline(t *testing.T) {
 	checked := 0
 	for _, src := range s.Sources() {
 		for _, day := range s.Days(src) {
-			id := DetectDay(s, src, day, refs)
+			id := mustDetect(t, s, src, day, refs)
 			base := DetectDayBaseline(s, src, day, refs)
 			if id.DomainsMeasured != base.DomainsMeasured {
 				t.Errorf("%s %s: DomainsMeasured = %d, baseline %d",
@@ -356,7 +356,7 @@ func TestDomainsMeasuredInterleaved(t *testing.T) {
 	w3.Commit()
 
 	refs := MustGroundTruth()
-	det := DetectDay(s, "com", day, refs)
+	det := mustDetect(t, s, "com", day, refs)
 	if det.DomainsMeasured != 2 {
 		t.Errorf("DomainsMeasured = %d, want 2 (interleaved runs must not double-count)", det.DomainsMeasured)
 	}
@@ -387,7 +387,7 @@ func TestDetectDayMergesInterleavedMethods(t *testing.T) {
 
 	refs := MustGroundTruth()
 	cf, _ := refs.ProviderIndex("CloudFlare")
-	det := DetectDay(s, "com", day, refs)
+	det := mustDetect(t, s, "com", day, refs)
 	if det.Count(cf) != 1 {
 		t.Fatalf("CloudFlare count = %d, want 1", det.Count(cf))
 	}
@@ -420,14 +420,14 @@ func TestForDictCacheBounded(t *testing.T) {
 		}
 	})
 	w.Commit()
-	want := DetectDay(one, "com", quietDay, refs)
+	want := mustDetect(t, one, "com", quietDay, refs)
 	if want.CountAny() == 0 {
 		t.Fatal("fixture partition detects nothing")
 	}
 	for i := 0; i < 100; i++ {
 		fresh := store.New()
 		fresh.Absorb(one)
-		got := DetectDay(fresh, "com", quietDay, refs)
+		got := mustDetect(t, fresh, "com", quietDay, refs)
 		for p := range refs.Providers {
 			if !reflect.DeepEqual(got.Uses(p), want.Uses(p)) {
 				t.Fatalf("dictionary %d, provider %d: detections differ", i, p)
@@ -439,7 +439,7 @@ func TestForDictCacheBounded(t *testing.T) {
 	}
 	// The first dictionary's matcher was evicted long ago; a fresh one
 	// takes the front of the cache and agrees.
-	again := DetectDay(one, "com", quietDay, refs)
+	again := mustDetect(t, one, "com", quietDay, refs)
 	if refs.matchers[0].dict != one.Dict() || again.CountAny() != want.CountAny() {
 		t.Fatal("re-detecting over the evicted dictionary diverged")
 	}
@@ -468,7 +468,7 @@ func TestDetectRangeMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: result %d is (%s, %s), want %v",
 					workers, i, det.Source, det.Day, parts[i])
 			}
-			seq := DetectDay(s, parts[i].Source, parts[i].Day, refs)
+			seq := mustDetect(t, s, parts[i].Source, parts[i].Day, refs)
 			if det.DomainsMeasured != seq.DomainsMeasured || det.CountAny() != seq.CountAny() {
 				t.Errorf("workers=%d %v: measured/any = %d/%d, want %d/%d", workers, parts[i],
 					det.DomainsMeasured, det.CountAny(), seq.DomainsMeasured, seq.CountAny())
@@ -503,7 +503,7 @@ func TestDetectRangeCancelled(t *testing.T) {
 func TestEachUseOrdered(t *testing.T) {
 	_, s := measuredWorld(t)
 	refs := MustGroundTruth()
-	det := DetectDay(s, "com", quietDay, refs)
+	det := mustDetect(t, s, "com", quietDay, refs)
 	for p := range refs.Providers {
 		last := -1
 		det.EachUse(p, func(id uint32, m Method) {
@@ -516,4 +516,14 @@ func TestEachUseOrdered(t *testing.T) {
 			last = int(id)
 		})
 	}
+}
+
+// mustDetect runs Detect over a resident store, where it cannot fail.
+func mustDetect(t testing.TB, s *store.Store, source string, day simtime.Day, refs *References) *DayDetections {
+	t.Helper()
+	det, err := Detect(s, Partition{Source: source, Day: day}, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
 }

@@ -16,9 +16,9 @@ import (
 //
 // The engine is ID-native: domains stay dictionary IDs end to end, packed
 // as one uint64 per detected (provider, domain) pair. String views
-// (Uses, MergeAny, DomainName) materialize through the store dictionary
+// (Uses, MergeAny, DomainName) materialize through the batch's dictionary
 // only at the report/API edge. A DayDetections is immutable after
-// DetectDay returns and safe for concurrent readers.
+// Detect returns and safe for concurrent readers.
 type DayDetections struct {
 	Source string
 	Day    simtime.Day
@@ -46,54 +46,44 @@ func packUse(p int, id uint32, m Method) uint64 {
 	return uint64(p)<<40 | uint64(id)<<8 | uint64(m)
 }
 
-// BatchSource is where detection reads its columnar partitions from:
-// either a fully resident *store.Store or a streaming *store.Reader.
-// AcquireBatch hands out one partition's columns plus a release func
-// (a no-op for the resident store; for the Reader it returns the decoded
-// columns to the buffer pool) — the batch is valid only until release.
-// Missing partitions may surface as an empty batch (resident store) or
-// an error (Reader, which knows its directory); corrupt partitions are
-// always errors.
+// BatchSource is where detection reads its columnar partitions from: a
+// fully resident *store.Store, a streaming *store.Reader, or any set of
+// files that can hand out one partition at a time. AcquireBatch hands
+// out one partition's columns, naming the dictionary its IDs index into,
+// plus a release func (a no-op for the resident store; for the Reader it
+// returns the decoded columns to the buffer pool) — the batch is valid
+// only until release. Missing partitions may surface as an empty batch
+// (resident store) or an error (Reader, which knows its directory);
+// corrupt partitions are always errors.
 type BatchSource interface {
-	SharedDict() (*store.Dict, error)
 	AcquireBatch(source string, day simtime.Day) (store.RowBatch, func(), error)
 }
 
-// DetectDay scans one partition and classifies every row against the
+// Detect scans one partition and classifies every row against the
 // reference table, entirely in dictionary-ID space: ASN hits via the
 // reference index, CNAME/NS hits via the per-dictionary SLD→provider
-// cache (References.ForDict), no per-row string materialization.
-func DetectDay(s *store.Store, source string, day simtime.Day, refs *References) *DayDetections {
-	d, _, _, _ := detectSourceStaged(s, source, day, refs)
-	return d
-}
-
-// DetectPartition is DetectDay over any BatchSource — the unit of
-// streaming detection. Unlike DetectDay it can fail: a Reader surfaces
-// missing or corrupt partitions as errors instead of silent empties.
-func DetectPartition(src BatchSource, source string, day simtime.Day, refs *References) (*DayDetections, error) {
-	d, _, _, err := detectSourceStaged(src, source, day, refs)
+// cache (References.ForDict), no per-row string materialization. It
+// fails only when the source cannot produce the partition (a Reader's
+// missing or corrupt partition); over a resident store it never fails.
+func Detect(src BatchSource, pt Partition, refs *References) (*DayDetections, error) {
+	d, _, _, err := detectStaged(src, pt, refs)
 	return d, err
 }
 
-// detectSourceStaged is DetectPartition with per-stage wall timing: scan
-// is the row classification loop (batch-scan), merge is finalize's sort
-// / dedup / distinct-count pass (hit-merge). DetectRangeStats feeds these
-// into the detect_stage_seconds histograms; the two time.Now pairs are
-// noise next to a partition's work. The batch is released only after
-// finalize — finalize reads the batch's domain column.
-func detectSourceStaged(src BatchSource, source string, day simtime.Day, refs *References) (d *DayDetections, scan, merge time.Duration, err error) {
-	dict, err := src.SharedDict()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	np := refs.NumProviders()
-	d = &DayDetections{Source: source, Day: day, dict: dict}
-	b, release, err := src.AcquireBatch(source, day)
+// detectStaged is Detect with per-stage wall timing: scan is the row
+// classification loop (batch-scan), merge is finalize's sort / dedup /
+// distinct-count pass (hit-merge). DetectRangeStats feeds these into the
+// detect_stage_seconds histograms; the two time.Now pairs are noise next
+// to a partition's work. The batch is released only after finalize —
+// finalize reads the batch's domain column.
+func detectStaged(src BatchSource, pt Partition, refs *References) (d *DayDetections, scan, merge time.Duration, err error) {
+	b, release, err := src.AcquireBatch(pt.Source, pt.Day)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	defer release()
+	np := refs.NumProviders()
+	d = &DayDetections{Source: pt.Source, Day: pt.Day, dict: b.Dict}
 	n := b.Rows()
 	if n == 0 {
 		d.off = make([]int32, np+1)
@@ -243,13 +233,13 @@ type BaselineDetections struct {
 	Uses []map[string]Method
 	// DomainsMeasured counts domain-run transitions — exact only while
 	// every domain's rows are contiguous (the historical approximation;
-	// DetectDay counts the ID set and is exact unconditionally).
+	// Detect counts the ID set and is exact unconditionally).
 	DomainsMeasured int
 }
 
 // DetectDayBaseline is the pre-ID-engine detection pass, string-keyed
 // and one Dict.Str materialization per row. Retained verbatim so tests
-// can demand DetectDay produce identical counts and the detect benchmark
+// can demand Detect produce identical counts and the detect benchmark
 // can quantify the de-stringing win; not for production use.
 func DetectDayBaseline(s *store.Store, source string, day simtime.Day, refs *References) *BaselineDetections {
 	d := &BaselineDetections{

@@ -7,19 +7,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/store"
 	"dpsadopt/internal/trace"
 )
 
-// Partition names one (source, day) detection unit.
-type Partition struct {
-	Source string
-	Day    simtime.Day
-}
+// Partition names one (source, day) detection unit. It is the store's
+// partition key, so directory listings, coordinator leases and follower
+// bookkeeping all share one key type.
+type Partition = store.PartitionKey
 
 // Partitions enumerates every stored (source, day) partition in
-// (source, day) order — the natural input to DetectRangeStats.
+// (source, day) order — the natural input to DetectRangeStats. A
+// streaming Reader lists the same keys, in the same order, via Keys.
 func Partitions(s *store.Store) []Partition {
 	var out []Partition
 	for _, src := range s.Sources() {
@@ -30,26 +29,13 @@ func Partitions(s *store.Store) []Partition {
 	return out
 }
 
-// ReaderPartitions enumerates a streaming Reader's partitions from its
-// directory — same (source, day) order as Partitions over the loaded
-// store, no partition decoded.
-func ReaderPartitions(r *store.Reader) []Partition {
-	keys := r.Keys()
-	out := make([]Partition, len(keys))
-	for i, k := range keys {
-		out[i] = Partition{Source: k.Source, Day: k.Day}
-	}
-	return out
-}
-
 // PartitionFailure records one partition DetectRangeStats could not
 // classify — unreadable or corrupt under a streaming Reader. The
 // partition's result slot stays nil; the caller decides whether that is
 // degraded service or a fatal dataset problem.
 type PartitionFailure struct {
-	Source string
-	Day    simtime.Day
-	Err    error
+	Partition
+	Err error
 }
 
 // RangeStats describes where one DetectRangeStats call spent its time,
@@ -156,11 +142,6 @@ func DetectRangeStats(ctx context.Context, src BatchSource, parts []Partition, r
 	if workers > len(parts) {
 		workers = len(parts)
 	}
-	// Warm the matcher binding once so workers contend only on its
-	// read-mostly internals, not on creation.
-	if dict, err := src.SharedDict(); err == nil && dict != nil {
-		refs.ForDict(dict)
-	}
 	mDetectWorkers.Add(float64(workers))
 	defer mDetectWorkers.Add(-float64(workers))
 	start := time.Now()
@@ -190,9 +171,9 @@ func DetectRangeStats(ctx context.Context, src BatchSource, parts []Partition, r
 				pt := parts[i]
 				_, sp := trace.StartSpan(ctx, "core.detect",
 					trace.Str("source", pt.Source), trace.Str("day", pt.Day.String()))
-				det, scan, merge, err := detectSourceStaged(src, pt.Source, pt.Day, refs)
+				det, scan, merge, err := detectStaged(src, pt, refs)
 				if err != nil {
-					clk.failed = append(clk.failed, PartitionFailure{Source: pt.Source, Day: pt.Day, Err: err})
+					clk.failed = append(clk.failed, PartitionFailure{Partition: pt, Err: err})
 					sp.SetAttr(trace.Str("error", err.Error()))
 					sp.End()
 					continue

@@ -92,7 +92,7 @@ type References struct {
 
 	// matchers caches the IDMatchers of the matcherCacheSize most
 	// recently used store dictionaries, most recent first, so repeated
-	// DetectDay calls over the same store amortize every SLD extraction
+	// Detect calls over the same store amortize every SLD extraction
 	// while a long-running follower, which opens a Reader (and with it a
 	// dictionary) per spool, does not keep every dictionary alive.
 	matcherMu sync.Mutex

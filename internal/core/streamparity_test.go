@@ -54,8 +54,8 @@ func TestDetectRangeStreamingParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ReaderPartitions(r); !reflect.DeepEqual(got, parts) {
-			t.Fatalf("seed %d: ReaderPartitions = %v, want %v", tc.seed, got, parts)
+		if got := r.Keys(); !reflect.DeepEqual(got, parts) {
+			t.Fatalf("seed %d: Reader keys = %v, want %v", tc.seed, got, parts)
 		}
 		gotDets, gotStats := DetectRangeStats(context.Background(), r, parts, refs, 3)
 		r.Close()

@@ -41,6 +41,7 @@ import (
 	"dpsadopt/internal/coord"
 	"dpsadopt/internal/core"
 	"dpsadopt/internal/obs"
+	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/store"
 )
 
@@ -283,12 +284,7 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 	}
 
 	start := time.Now()
-	var ups []api.PartitionUpdate
-	if f.mode == ModeCoord {
-		ups = f.loadCoordBatch(ctx, batch)
-	} else {
-		ups = f.loadDatasetBatch(ctx, batch)
-	}
+	ups := f.load(ctx, batch)
 	for _, u := range ups {
 		k := store.PartitionKey{Source: u.Source, Day: u.Day}
 		if f.mode == ModeCoord {
@@ -355,9 +351,13 @@ func (f *Follower) spoolPath(rec coord.Record) string {
 
 // discoverDataset opens a Reader over a new generation of the dataset
 // when the file changed and diffs its partition directory against the
-// applied set. Saves are atomic whole-file renames, so a Reader never
-// sees a half-written dataset, and it keeps reading the generation it
-// opened even after the next rename.
+// applied set: the pending set becomes exactly the generation's keys
+// that are neither applied nor skipped. A key an atomic replace dropped
+// leaves the pending set with its generation (it cannot be read from
+// the new one, and must not block the partitions behind it); it comes
+// back if a later generation lists it again. Saves are atomic
+// whole-file renames, so a Reader never sees a half-written dataset, and
+// it keeps reading the generation it opened even after the next rename.
 func (f *Follower) discoverDataset() error {
 	fi, err := os.Stat(f.cfg.Target)
 	if err != nil {
@@ -375,6 +375,7 @@ func (f *Follower) discoverDataset() error {
 	}
 	f.resetDataset()
 	f.dataset = r
+	clear(f.pending)
 	for _, k := range r.Keys() {
 		if !f.applied[k] && !f.skipped[k] {
 			f.pending[k] = ""
@@ -394,100 +395,55 @@ func (f *Follower) resetDataset() {
 	f.lastSize, f.lastMod = 0, time.Time{}
 }
 
-// loadCoordBatch detects spool partitions with bounded concurrency via
-// the streaming read path: store.Open reads only the spool's footer and
-// directory, and core.DetectPartition preads, CRC-checks, and decodes
-// exactly the committed partition in one pass — half the I/O of the old
-// Verify-then-Load sequence, and no resident *store.Store per spool.
-// Damaged spools are skipped permanently (and counted); the survivors
-// come back as updates.
-func (f *Follower) loadCoordBatch(ctx context.Context, batch []store.PartitionKey) []api.PartitionUpdate {
-	log := obs.Logger().With("component", "follow")
-	type result struct {
-		up   api.PartitionUpdate
-		ok   bool
-		fail string
-	}
-	results := make([]result, len(batch))
-	workers := f.cfg.Workers
-	if workers > len(batch) {
-		workers = len(batch)
-	}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				if ctx.Err() != nil {
-					continue
-				}
-				k := batch[i]
-				spool := f.pending[k]
-				r, err := store.Open(spool)
-				if err != nil {
-					results[i].fail = fmt.Sprintf("open %s: %v", spool, err)
-					continue
-				}
-				det, err := core.DetectPartition(r, k.Source, k.Day, f.cfg.Refs)
-				r.Close()
-				if err != nil {
-					results[i].fail = fmt.Sprintf("detect %s: %v", spool, err)
-					continue
-				}
-				results[i] = result{
-					up: api.PartitionUpdate{Source: k.Source, Day: k.Day, Det: det},
-					ok: true,
-				}
-			}
-		}()
-	}
-	for i := range batch {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+// spools is the coord-mode feed as one core.BatchSource: each pending
+// partition is read from its own committed spool, through a Reader that
+// lives exactly as long as the batch. store.Open reads only the spool's
+// footer and directory, and the acquire preads, CRC-checks and decodes
+// exactly the committed partition — no resident *store.Store per spool.
+// Each batch names its spool's own dictionary.
+type spools map[store.PartitionKey]string
 
-	ups := make([]api.PartitionUpdate, 0, len(batch))
-	for i, r := range results {
-		switch {
-		case r.ok:
-			ups = append(ups, r.up)
-		case r.fail != "":
-			f.skip(batch[i], r.fail, log)
-		default:
-			// Cancelled before processing: leave pending for next poll.
-		}
+func (sp spools) AcquireBatch(source string, day simtime.Day) (store.RowBatch, func(), error) {
+	noop := func() {}
+	path := sp[store.PartitionKey{Source: source, Day: day}]
+	r, err := store.Open(path)
+	if err != nil {
+		return store.RowBatch{}, noop, fmt.Errorf("open %s: %w", path, err)
 	}
-	return ups
+	b, release, err := r.AcquireBatch(source, day)
+	if err != nil {
+		r.Close()
+		return store.RowBatch{}, noop, fmt.Errorf("read %s: %w", path, err)
+	}
+	return b, func() { release(); r.Close() }, nil
 }
 
-// loadDatasetBatch detects a batch of partitions through the current
-// generation's Reader with the shared DetectRangeStats pool. A corrupt
-// partition is skipped permanently, as a damaged spool is in coord mode.
-// Any other failure — a key missing from this generation's directory
-// after an atomic replace, a read error — leaves the partition pending
-// and makes the next poll reopen the file.
-func (f *Follower) loadDatasetBatch(ctx context.Context, batch []store.PartitionKey) []api.PartitionUpdate {
-	if f.dataset == nil {
-		return nil // no generation open (the file is gone): retry next poll
+// load detects a batch through the shared DetectRangeStats pool — over
+// the pending spools in coord mode, over the current generation's Reader
+// in dataset mode — and returns the survivors as updates. A damaged
+// spool is skipped permanently (commits are terminal; a torn spool at
+// rest will not heal), as is a corrupt dataset partition. Any other
+// dataset failure — a read error, a file replaced under the Reader —
+// leaves the partition pending and makes the next poll reopen the file.
+// Partitions a cancelled context left unprocessed stay pending too.
+func (f *Follower) load(ctx context.Context, batch []store.PartitionKey) []api.PartitionUpdate {
+	var src core.BatchSource = spools(f.pending)
+	if f.mode == ModeDataset {
+		if f.dataset == nil {
+			return nil // no generation open (the file is gone): retry next poll
+		}
+		src = f.dataset
 	}
 	log := obs.Logger().With("component", "follow")
-	parts := make([]core.Partition, len(batch))
-	for i, k := range batch {
-		parts[i] = core.Partition{Source: k.Source, Day: k.Day}
-	}
-	dets, st := core.DetectRangeStats(ctx, f.dataset, parts, f.cfg.Refs, f.cfg.Workers)
+	dets, st := core.DetectRangeStats(ctx, src, batch, f.cfg.Refs, f.cfg.Workers)
 	reopen := false
 	for _, pf := range st.Failed {
-		k := store.PartitionKey{Source: pf.Source, Day: pf.Day}
 		var ce *store.CorruptPartitionError
-		if errors.As(pf.Err, &ce) {
-			f.skip(k, pf.Err.Error(), log)
+		if f.mode == ModeCoord || errors.As(pf.Err, &ce) {
+			f.skip(pf.Partition, pf.Err.Error(), log)
 			continue
 		}
-		log.Warn("partition unreadable; will retry", "partition", k.String(), "err", pf.Err)
+		log.Warn("partition unreadable; will retry", "partition", pf.Partition.String(), "err", pf.Err)
 		reopen = true
 	}
 	if reopen {
@@ -549,16 +505,4 @@ func (f *Follower) setErr(err error) {
 	f.mu.Lock()
 	f.st.LastErr = err.Error()
 	f.mu.Unlock()
-}
-
-// Keys lists a store's (source, day) partitions — the seed for a
-// follower booted from an existing dataset.
-func Keys(s *store.Store) []store.PartitionKey {
-	var out []store.PartitionKey
-	for _, src := range s.Sources() {
-		for _, d := range s.Days(src) {
-			out = append(out, store.PartitionKey{Source: src, Day: d})
-		}
-	}
-	return out
 }

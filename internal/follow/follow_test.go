@@ -235,7 +235,7 @@ func TestFollowSeedSkipsBootPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Seed(Keys(all))
+	f.Seed(core.Partitions(all))
 
 	// Nothing new: no publish, epoch stays 0.
 	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
@@ -339,48 +339,63 @@ func TestFollowDatasetSkipsDamagedPartition(t *testing.T) {
 
 // TestFollowDatasetMissingPartitionStaysPending: a partition discovered
 // in one generation of the dataset but absent from the next (an atomic
-// replace dropped it) is not damage: it stays pending, is never
-// skipped, and the rest of the new generation still applies.
+// replace dropped it) is not damage: it is never skipped, and it leaves
+// the pending set with its generation instead of blocking the new
+// generation's partitions behind it — even when it sorts first and the
+// batch holds one partition. A later generation that lists it again
+// brings it back.
 func TestFollowDatasetMissingPartitionStaysPending(t *testing.T) {
 	refs := core.MustGroundTruth()
 	path := filepath.Join(t.TempDir(), "data.dpsa")
-	gen1 := store.New()
-	gen1.Absorb(synthPart(t, refs, "com", 0))
-	gen1.Absorb(synthPart(t, refs, "com", 1))
-	if err := gen1.Save(path); err != nil {
-		t.Fatal(err)
+	save := func(keys ...store.PartitionKey) {
+		t.Helper()
+		gen := store.New()
+		for _, k := range keys {
+			gen.Absorb(synthPart(t, refs, k.Source, k.Day))
+		}
+		if err := gen.Save(path); err != nil {
+			t.Fatal(err)
+		}
 	}
+	com0 := store.PartitionKey{Source: "com", Day: 0}
+	com1 := store.PartitionKey{Source: "com", Day: 1}
+	com2 := store.PartitionKey{Source: "com", Day: 2}
+	net2 := store.PartitionKey{Source: "net", Day: 2}
+	save(com0, com1)
+
 	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
 	f, err := New(Config{Target: path, Refs: refs, Sink: srv, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	step := func(what string, want int) {
+		t.Helper()
+		if n, err := f.Poll(context.Background()); n != want || err != nil {
+			t.Fatalf("%s: n=%d err=%v, want n=%d (status %+v)", what, n, err, want, f.Status())
+		}
+	}
 	// One partition per poll: com/0 applies, com/1 is left pending.
-	if n, err := f.Poll(context.Background()); n != 1 || err != nil {
-		t.Fatalf("first poll: n=%d err=%v", n, err)
+	step("first poll", 1)
+
+	// com/1 is first in day order and absent from the new generation.
+	save(com0, com2, net2)
+	step("second poll", 1)
+	if !f.applied[com2] {
+		t.Fatalf("second poll applied %+v, want %s", f.Status(), com2)
+	}
+	if _, ok := f.pending[com1]; ok || f.skipped[com1] {
+		t.Fatalf("%s: pending=%v skipped=%v, want neither", com1, ok, f.skipped[com1])
+	}
+	step("third poll", 1)
+	if st := f.Status(); st.Applied != 3 || st.Skipped != 0 || st.Lag != 0 {
+		t.Fatalf("status: %+v", st)
 	}
 
-	gen2 := store.New()
-	for _, k := range []store.PartitionKey{{Source: "com", Day: 0}, {Source: "com", Day: 2}, {Source: "net", Day: 2}} {
-		gen2.Absorb(synthPart(t, refs, k.Source, k.Day))
-	}
-	if err := gen2.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	// com/1 is first in day order and absent from the new generation.
-	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
-		t.Fatalf("poll over the replaced file: n=%d err=%v", n, err)
-	}
-	missing := store.PartitionKey{Source: "com", Day: 1}
-	if _, ok := f.pending[missing]; !ok || f.skipped[missing] {
-		t.Fatalf("%s: pending=%v skipped=%v, want pending only", missing, ok, f.skipped[missing])
-	}
-	f.cfg.MaxBatch = 64
-	if n, err := f.Poll(context.Background()); n != 2 || err != nil {
-		t.Fatalf("catch-up poll: n=%d err=%v", n, err)
-	}
-	if st := f.Status(); st.Applied != 3 || st.Skipped != 0 || st.Lag != 1 {
-		t.Fatalf("status: %+v", st)
+	// A later generation lists com/1 again: it comes back and applies.
+	save(com0, com1, com2, net2)
+	step("fourth poll", 1)
+	if st := f.Status(); st.Applied != 4 || st.Skipped != 0 || st.Lag != 0 || !f.applied[com1] {
+		t.Fatalf("status after com/1 returned: %+v", st)
 	}
 }
 

@@ -227,8 +227,7 @@ func (r *Reader) SetCachePartitions(n int) {
 }
 
 // SharedDict returns the file's dictionary, decoding it on first call.
-// It implements half of core's BatchSource contract; *Store carries the
-// same method for the in-memory side.
+// Every batch AcquireBatch hands out names it as its Dict.
 func (r *Reader) SharedDict() (*Dict, error) {
 	r.dictOnce.Do(func() { r.dict, r.dictErr = r.readDict() })
 	return r.dict, r.dictErr
@@ -314,7 +313,7 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 			r.touchLocked(k)
 			r.mu.Unlock()
 			mReaderCacheHits.Inc()
-			return cb.blk.batch(), func() { r.release(cb) }, nil
+			return cb.blk.batch(dict), func() { r.release(cb) }, nil
 		}
 		ch, busy := r.inflight[k]
 		if !busy {
@@ -350,7 +349,7 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 	r.lru = append(r.lru, k)
 	r.evictLocked()
 	r.mu.Unlock()
-	return blk.batch(), func() { r.release(cb) }, nil
+	return blk.batch(dict), func() { r.release(cb) }, nil
 }
 
 func (r *Reader) release(cb *cachedBlock) {
@@ -431,10 +430,10 @@ func (r *Reader) decodePartition(ent *PartitionInfo, blk *dayBlock, dictLen int,
 	return nil
 }
 
-// batch is the RowBatch view of a decoded block (the Reader-side twin of
-// Store.RowBatch).
-func (b *dayBlock) batch() RowBatch {
+// batch is the RowBatch view of a block whose IDs index into dict.
+func (b *dayBlock) batch(dict *Dict) RowBatch {
 	return RowBatch{
+		Dict:    dict,
 		Domains: b.domains,
 		Kinds:   b.kinds,
 		Addrs:   b.addrs,
@@ -623,14 +622,11 @@ func (r *Reader) Info() ReaderInfo {
 	return info
 }
 
-// SharedDict implements core's BatchSource contract for the in-memory
-// store: the dictionary is already resident.
-func (s *Store) SharedDict() (*Dict, error) { return s.dict, nil }
-
 // AcquireBatch implements core's BatchSource contract for the in-memory
 // store: the batch aliases resident columns, so release is a no-op and a
 // missing partition is an empty batch (matching RowBatch's semantics).
 func (s *Store) AcquireBatch(source string, day simtime.Day) (RowBatch, func(), error) {
 	b, _ := s.RowBatch(source, day)
+	b.Dict = s.dict
 	return b, func() {}, nil
 }

@@ -284,6 +284,9 @@ func (s *Store) Days(source string) []simtime.Day {
 // use a batch concurrently with writers committing into the same
 // partition.
 type RowBatch struct {
+	// Dict is the dictionary the batch's IDs index into: the store's
+	// own, or the file's for a batch read through a Reader.
+	Dict *Dict
 	// Domains holds the dict ID of each row's domain.
 	Domains []uint32
 	// Kinds holds each row's record kind.
@@ -354,15 +357,7 @@ func (s *Store) RowBatch(source string, day simtime.Day) (RowBatch, bool) {
 	if b == nil {
 		return RowBatch{}, false
 	}
-	return RowBatch{
-		Domains: b.domains,
-		Kinds:   b.kinds,
-		Addrs:   b.addrs,
-		Addrs6:  b.addrs6,
-		Strs:    b.strs,
-		asnOff:  b.asnOff,
-		asnVals: b.asnVals,
-	}, true
+	return b.batch(s.dict), true
 }
 
 // ForEachRowID streams one partition's rows in dictionary-ID form: no

@@ -198,7 +198,7 @@ func TestScaleCellHelper(t *testing.T) {
 			defer r.Close()
 			r.SetCachePartitions(1)
 			var st core.RangeStats
-			streamDets, st = core.DetectRangeStats(context.Background(), r, core.ReaderPartitions(r), refs, 0)
+			streamDets, st = core.DetectRangeStats(context.Background(), r, r.Keys(), refs, 0)
 			if len(st.Failed) > 0 {
 				return fmt.Errorf("%d partitions failed streaming detection", len(st.Failed))
 			}

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, and race-enabled tests for the whole
-# module and for the benchmark module under perfbench/. Mirrors
+# Tier-1 verification: vet, build, the benchmark module under
+# perfbench/, then race-enabled tests for the whole module. Mirrors
 # `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
@@ -9,8 +9,8 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
-echo "== go test -race ./..."
-go test -race ./...
 echo "== perfbench: go vet, go build, go test -race"
 (cd perfbench && go vet ./... && go build ./... && go test -race ./...)
+echo "== go test -race ./..."
+go test -race ./...
 echo "check: OK"
